@@ -39,7 +39,6 @@ from .errors import (
     ArityError,
     ComparisonTypeError,
     CyclicProgramError,
-    ParseError,
     SafetyError,
     UnknownRelationError,
 )
@@ -54,6 +53,7 @@ from .lineage import (
     args_sort_key,
     format_arg,
 )
+from .lineage import _IDENT, _INT_TOKEN, _Scanner
 
 __all__ = [
     "Variable",
@@ -180,76 +180,15 @@ class DerivedTuple:
 
 # --- parsing ------------------------------------------------------------------
 
-_RULE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_RULE_INT = re.compile(r"-?[0-9]+")
 
-
-class _RuleScanner:
-    def __init__(self, text: str, line_no: int = 1):
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line_no, self.pos + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self, ahead: int = 0) -> str:
-        self.skip_ws()
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
-
-    def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str):
-        if not self.take(literal):
-            raise self.error(f"expected {literal!r}")
-
-    def regex(self, pattern: re.Pattern):
-        self.skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group(0)
-
-    def quoted(self) -> str:
-        self.pos += 1
-        out = []
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "\\" and self.pos + 1 < len(self.text):
-                out.append(self.text[self.pos + 1])
-                self.pos += 2
-                continue
-            if c == '"':
-                self.pos += 1
-                return "".join(out)
-            out.append(c)
-            self.pos += 1
-        raise self.error("unterminated string literal")
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
-def _parse_term(scanner: _RuleScanner):
+def _parse_term(scanner: _Scanner):
     c = scanner.peek()
     if c == '"':
         return scanner.quoted()
-    token = scanner.regex(_RULE_INT)
+    token = scanner.regex(_INT_TOKEN)
     if token is not None:
         return int(token)
-    name = scanner.regex(_RULE_IDENT)
+    name = scanner.regex(_IDENT)
     if name is None:
         raise scanner.error("expected a term")
     if name[0].isupper() or name[0] == "_":
@@ -257,8 +196,8 @@ def _parse_term(scanner: _RuleScanner):
     return name
 
 
-def _parse_literal(scanner: _RuleScanner, negated: bool) -> Literal:
-    name = scanner.regex(_RULE_IDENT)
+def _parse_literal(scanner: _Scanner, negated: bool) -> Literal:
+    name = scanner.regex(_IDENT)
     if name is None:
         raise scanner.error("expected a relation name")
     scanner.expect("(")
@@ -272,7 +211,7 @@ def _parse_literal(scanner: _RuleScanner, negated: bool) -> Literal:
     return Literal(name, tuple(args), negated)
 
 
-def _parse_body_item(scanner: _RuleScanner):
+def _parse_body_item(scanner: _Scanner):
     if scanner.peek() == "!" and scanner.peek(1) != "=":
         scanner.take("!")
         return _parse_literal(scanner, negated=True)
@@ -291,7 +230,7 @@ def _parse_body_item(scanner: _RuleScanner):
 
 def parse_rule(text: str, line_no: int = 1) -> DeductionRule:
     """Parse a single ``Head(...) :- Body.`` rule."""
-    scanner = _RuleScanner(text, line_no)
+    scanner = _Scanner(text, line_no)
     head = _parse_literal(scanner, negated=False)
     scanner.skip_ws()
     if not scanner.take(":-"):

@@ -22,6 +22,13 @@ enumerating worlds (the oracle).  ``prob_exact`` instead applies, recursively:
 When the budget runs out, subformulas small enough for the brute-force cutoff
 fall back to enumeration; otherwise ``IntractableFormulaError`` is raised.
 
+The decomposition is a d-tree (Olteanu, Huang & Koch, ICDE 2010).  One
+routine makes the decisions above, once per canonical subformula, and builds
+each node as it decides it.  ``compile_probability`` has it build a closure
+per node, and the root closure evaluates P(phi) from any probability map;
+``prob_exact`` compiles and calls it once.  ``flatten`` has the same routine
+build formulas instead, turning each Shannon step into a disjoint-or.
+
 All routines are pure; memoization is call-local on canonical subformulas.
 """
 
@@ -47,6 +54,7 @@ from .lineage import (
     Or,
     TupleId,
     Var,
+    connected_components,
     substitute,
     tuple_set,
 )
@@ -153,78 +161,7 @@ def prob_bruteforce(
     return float(weights[satisfied].sum())
 
 
-# --- decomposition plans ------------------------------------------------------
-
-# Plan nodes describe how to compute P(phi) with no further analysis.  The
-# same plan backs prob_exact (interpreted with a value memo), flatten
-# (reconstructed as a formula), and compile_probability (closures).
-
-
-@dataclass(frozen=True)
-class _ConstP:
-    value: float
-
-
-@dataclass(frozen=True)
-class _LeafP:
-    tuple_id: TupleId
-
-
-@dataclass(frozen=True)
-class _NotP:
-    child: object
-
-
-@dataclass(frozen=True)
-class _IndepAndP:
-    children: tuple
-
-
-@dataclass(frozen=True)
-class _IndepOrP:
-    children: tuple
-
-
-@dataclass(frozen=True)
-class _SumP:
-    children: tuple
-
-
-@dataclass(frozen=True)
-class _ShannonP:
-    tuple_id: TupleId
-    high: object
-    low: object
-
-
-@dataclass(frozen=True)
-class _BruteP:
-    formula: LineageFormula
-
-
-def _connected_components(children: Sequence[LineageFormula]) -> list:
-    """Group children into connected components of the tuple-overlap graph."""
-    parent = list(range(len(children)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[TupleId, int] = {}
-    for i, child in enumerate(children):
-        for t in child._tuples:
-            if t in owner:
-                ri, rj = find(i), find(owner[t])
-                if ri != rj:
-                    parent[ri] = rj
-            else:
-                owner[t] = i
-    groups: dict[int, list] = {}
-    for i, child in enumerate(children):
-        groups.setdefault(find(i), []).append(child)
-    return list(groups.values())
+# --- decomposition -------------------------------------------------------------
 
 
 def _top_literals(phi: LineageFormula) -> dict:
@@ -261,88 +198,155 @@ def _shannon_tuple(children: Sequence[LineageFormula]) -> TupleId:
     for child in children:
         for t in child._tuples:
             counts[t] = counts.get(t, 0) + 1
-    best = max(counts.items(), key=lambda item: (item[1], ))
-    top = best[1]
+    top = max(counts.values())
     return min(t for t, c in counts.items() if c == top)
 
 
-class _PlanBuilder:
-    def __init__(self, cfg: InferenceConfig):
-        self.cfg = cfg
-        self.budget = cfg.shannon_budget
-        self.memo: dict[LineageFormula, object] = {}
+def _decompose(phi: LineageFormula, cfg: InferenceConfig, emit):
+    """Decompose phi by the rules above, building one node per subformula.
 
-    def build(self, phi: LineageFormula):
-        cached = self.memo.get(phi)
-        if cached is not None:
-            return cached
-        plan = self._analyze(phi)
-        self.memo[phi] = plan
-        return plan
+    ``emit`` supplies the node constructors (:class:`_Closures` or
+    :class:`_Formulas`).  Nodes are memoized on canonical subformulas, so a
+    subformula reached twice is decomposed once and costs the Shannon budget
+    once.
+    """
+    memo: dict = {}
+    budget = cfg.shannon_budget
+    cutoff = cfg.brute_force_cutoff
 
-    def _analyze(self, phi):
+    def build(phi):
+        nonlocal budget
+        node = memo.get(phi)
+        if node is not None:
+            return node
         if isinstance(phi, Constant):
-            return _ConstP(1.0 if phi.value else 0.0)
-        if isinstance(phi, Var):
-            return _LeafP(phi.tuple_id)
-        if isinstance(phi, Not):
-            return _NotP(self.build(phi.child))
-        components = _connected_components(phi.children)
-        if len(components) > 1:
-            if isinstance(phi, And):
-                parts = tuple(self.build(And(*group)) for group in components)
-                return _IndepAndP(parts)
-            parts = tuple(self.build(Or(*group)) for group in components)
-            return _IndepOrP(parts)
-        if isinstance(phi, Or) and _pairwise_event_disjoint(phi.children):
-            return _SumP(tuple(self.build(c) for c in phi.children))
-        return self._expand(phi)
+            node = emit.const(phi.value)
+        elif isinstance(phi, Var):
+            node = emit.leaf(phi.tuple_id)
+        elif isinstance(phi, Not):
+            node = emit.neg(build(phi.child))
+        else:
+            children = phi.children
+            groups = connected_components([c._tuples for c in children])
+            if len(groups) > 1:
+                op = And if isinstance(phi, And) else Or
+                parts = [build(op(*(children[i] for i in g))) for g in groups]
+                node = emit.indep_and(parts) if op is And else emit.indep_or(parts)
+            elif isinstance(phi, Or) and _pairwise_event_disjoint(children):
+                node = emit.disjoint_or([build(c) for c in children])
+            elif budget > 0:
+                budget -= 1
+                t = _shannon_tuple(children)
+                high = build(substitute(phi, t, True))
+                node = emit.shannon(t, high, build(substitute(phi, t, False)))
+            elif len(phi._tuples) <= cutoff:
+                node = emit.brute(phi, cutoff)
+            else:
+                raise IntractableFormulaError(
+                    f"Shannon budget exhausted and subformula has {len(phi._tuples)} "
+                    f"tuples (brute-force cutoff {cutoff})"
+                )
+        memo[phi] = node
+        return node
 
-    def _expand(self, phi):
-        if self.budget > 0:
-            self.budget -= 1
-            t = _shannon_tuple(phi.children)
-            high = self.build(substitute(phi, t, True))
-            low = self.build(substitute(phi, t, False))
-            return _ShannonP(t, high, low)
-        if len(phi._tuples) <= self.cfg.brute_force_cutoff:
-            return _BruteP(phi)
-        raise IntractableFormulaError(
-            f"Shannon budget exhausted and subformula has {len(phi._tuples)} tuples "
-            f"(brute-force cutoff {self.cfg.brute_force_cutoff})"
-        )
+    return build(phi)
 
 
-def _eval_plan(plan, p: Mapping, memo: dict, cutoff: int) -> float:
-    cached = memo.get(id(plan))
-    if cached is not None:
-        return cached
-    if isinstance(plan, _ConstP):
-        value = plan.value
-    elif isinstance(plan, _LeafP):
-        value = float(p[plan.tuple_id])
-    elif isinstance(plan, _NotP):
-        value = 1.0 - _eval_plan(plan.child, p, memo, cutoff)
-    elif isinstance(plan, _IndepAndP):
-        value = 1.0
-        for child in plan.children:
-            value *= _eval_plan(child, p, memo, cutoff)
-    elif isinstance(plan, _IndepOrP):
-        value = 1.0
-        for child in plan.children:
-            value *= 1.0 - _eval_plan(child, p, memo, cutoff)
-        value = 1.0 - value
-    elif isinstance(plan, _SumP):
-        value = sum(_eval_plan(child, p, memo, cutoff) for child in plan.children)
-    elif isinstance(plan, _ShannonP):
-        x = float(p[plan.tuple_id])
-        value = x * _eval_plan(plan.high, p, memo, cutoff) + (1.0 - x) * _eval_plan(
-            plan.low, p, memo, cutoff
-        )
-    else:
-        value = prob_bruteforce(plan.formula, p, cutoff)
-    memo[id(plan)] = value
-    return value
+class _Closures:
+    """Nodes as closures that evaluate P from a probability map."""
+
+    @staticmethod
+    def const(value):
+        def fn(p, _v=1.0 if value else 0.0):
+            return _v
+
+        return fn
+
+    @staticmethod
+    def leaf(t):
+        def fn(p, _t=t):
+            return p[_t]
+
+        return fn
+
+    @staticmethod
+    def neg(child):
+        def fn(p, _c=child):
+            return 1.0 - _c(p)
+
+        return fn
+
+    @staticmethod
+    def indep_and(parts):
+        def fn(p, _parts=tuple(parts)):
+            out = 1.0
+            for part in _parts:
+                out *= part(p)
+            return out
+
+        return fn
+
+    @staticmethod
+    def indep_or(parts):
+        def fn(p, _parts=tuple(parts)):
+            out = 1.0
+            for part in _parts:
+                out *= 1.0 - part(p)
+            return 1.0 - out
+
+        return fn
+
+    @staticmethod
+    def disjoint_or(parts):
+        def fn(p, _parts=tuple(parts)):
+            out = 0.0
+            for part in _parts:
+                out += part(p)
+            return out
+
+        return fn
+
+    @staticmethod
+    def shannon(t, high, low):
+        def fn(p, _t=t, _hi=high, _lo=low):
+            x = p[_t]
+            return x * _hi(p) + (1.0 - x) * _lo(p)
+
+        return fn
+
+    @staticmethod
+    def brute(phi, cutoff):
+        def fn(p, _f=phi, _cut=cutoff):
+            return prob_bruteforce(_f, p, _cut)
+
+        return fn
+
+
+class _Formulas:
+    """Nodes as formulas: Shannon steps become ``(t & high) | (!t & low)``."""
+
+    const = staticmethod(lambda value: TRUE if value else FALSE)
+    leaf = staticmethod(Var)
+    neg = staticmethod(Not)
+    indep_and = staticmethod(lambda parts: And(*parts))
+    indep_or = disjoint_or = staticmethod(lambda parts: Or(*parts))
+    shannon = staticmethod(
+        lambda t, high, low: Or(And(Var(t), high), And(Not(Var(t)), low))
+    )
+    brute = staticmethod(lambda phi, cutoff: phi)
+
+
+def compile_probability(
+    phi: LineageFormula, cfg: InferenceConfig | None = None
+) -> Callable[[Mapping[TupleId, float]], float]:
+    """Compile P(phi) into a closure for repeated evaluation.
+
+    The closure evaluates the multilinear polynomial directly from a
+    probability map; missing tuples surface as KeyError.  Because P is
+    multilinear, calling the closure with p(t) pinned to 0 and 1 yields the
+    exact partial derivative as the difference.
+    """
+    return _decompose(phi, cfg or InferenceConfig(), _Closures)
 
 
 def prob_exact(
@@ -351,10 +355,9 @@ def prob_exact(
     cfg: InferenceConfig | None = None,
 ) -> float:
     """Exact marginal probability via the decomposition rules above."""
-    cfg = cfg or InferenceConfig()
-    plan = _PlanBuilder(cfg).build(phi)
+    fn = compile_probability(phi, cfg)
     try:
-        return _eval_plan(plan, p, {}, max(cfg.brute_force_cutoff, 1))
+        return float(fn(p))
     except KeyError as exc:
         raise MissingProbabilityError(exc.args[0]) from None
 
@@ -385,119 +388,7 @@ def flatten(phi: LineageFormula, cfg: InferenceConfig | None = None) -> LineageF
     which the decomposition rules handle directly.  When the budget runs out
     the remaining subformulas are left as they are (best effort).
     """
-    cfg = cfg or InferenceConfig()
-    builder = _PlanBuilder(cfg)
     try:
-        plan = builder.build(phi)
+        return _decompose(phi, cfg or InferenceConfig(), _Formulas)
     except IntractableFormulaError:
         return phi
-    return _plan_formula(plan, {})
-
-
-def _plan_formula(plan, memo) -> LineageFormula:
-    cached = memo.get(id(plan))
-    if cached is not None:
-        return cached
-    if isinstance(plan, _ConstP):
-        out = TRUE if plan.value else FALSE
-    elif isinstance(plan, _LeafP):
-        out = Var(plan.tuple_id)
-    elif isinstance(plan, _NotP):
-        out = Not(_plan_formula(plan.child, memo))
-    elif isinstance(plan, _IndepAndP):
-        out = And(*(_plan_formula(c, memo) for c in plan.children))
-    elif isinstance(plan, (_IndepOrP, _SumP)):
-        out = Or(*(_plan_formula(c, memo) for c in plan.children))
-    elif isinstance(plan, _ShannonP):
-        head = Var(plan.tuple_id)
-        out = Or(
-            And(head, _plan_formula(plan.high, memo)),
-            And(Not(head), _plan_formula(plan.low, memo)),
-        )
-    else:
-        out = plan.formula
-    memo[id(plan)] = out
-    return out
-
-
-def compile_probability(
-    phi: LineageFormula, cfg: InferenceConfig | None = None
-) -> Callable[[Mapping[TupleId, float]], float]:
-    """Compile P(phi) into a closure for repeated evaluation.
-
-    The closure evaluates the multilinear polynomial directly from a
-    probability map; missing tuples surface as KeyError.  Because P is
-    multilinear, calling the closure with p(t) pinned to 0 and 1 yields the
-    exact partial derivative as the difference.
-    """
-    cfg = cfg or InferenceConfig()
-    plan = _PlanBuilder(cfg).build(phi)
-    return _compile_plan(plan, {}, max(cfg.brute_force_cutoff, 1))
-
-
-def _compile_plan(plan, memo, cutoff):
-    cached = memo.get(id(plan))
-    if cached is not None:
-        return cached
-    if isinstance(plan, _ConstP):
-        value = plan.value
-
-        def fn(p, _v=value):
-            return _v
-
-    elif isinstance(plan, _LeafP):
-        t = plan.tuple_id
-
-        def fn(p, _t=t):
-            return p[_t]
-
-    elif isinstance(plan, _NotP):
-        child = _compile_plan(plan.child, memo, cutoff)
-
-        def fn(p, _c=child):
-            return 1.0 - _c(p)
-
-    elif isinstance(plan, _IndepAndP):
-        parts = tuple(_compile_plan(c, memo, cutoff) for c in plan.children)
-
-        def fn(p, _parts=parts):
-            out = 1.0
-            for part in _parts:
-                out *= part(p)
-            return out
-
-    elif isinstance(plan, _IndepOrP):
-        parts = tuple(_compile_plan(c, memo, cutoff) for c in plan.children)
-
-        def fn(p, _parts=parts):
-            out = 1.0
-            for part in _parts:
-                out *= 1.0 - part(p)
-            return 1.0 - out
-
-    elif isinstance(plan, _SumP):
-        parts = tuple(_compile_plan(c, memo, cutoff) for c in plan.children)
-
-        def fn(p, _parts=parts):
-            out = 0.0
-            for part in _parts:
-                out += part(p)
-            return out
-
-    elif isinstance(plan, _ShannonP):
-        t = plan.tuple_id
-        high = _compile_plan(plan.high, memo, cutoff)
-        low = _compile_plan(plan.low, memo, cutoff)
-
-        def fn(p, _t=t, _hi=high, _lo=low):
-            x = p[_t]
-            return x * _hi(p) + (1.0 - x) * _lo(p)
-
-    else:
-        formula = plan.formula
-
-        def fn(p, _f=formula, _cut=cutoff):
-            return prob_bruteforce(_f, p, _cut)
-
-    memo[id(plan)] = fn
-    return fn

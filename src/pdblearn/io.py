@@ -118,6 +118,7 @@ def load_labels(
     """Read labels, resolving Q rows against the rules' derived tuples."""
     if derived is None and program is not None:
         derived = index_derived(ground(program, db))
+    known = db.tuples  # builds a new frozenset on every access
     labels = []
     for n, line in _data_lines(path):
         fields = line.split("\t")
@@ -142,7 +143,7 @@ def load_labels(
             labels.append(Label(hit.lineage, target))
         elif kind == "F":
             formula = parse_formula(ref)
-            unknown = tuple_set(formula) - db.tuples
+            unknown = tuple_set(formula) - known
             if unknown:
                 raise DanglingReferenceError(
                     f"label line {n} references tuple(s) not in the database: "

@@ -58,7 +58,15 @@ from .errors import (
     NonBooleanLabelError,
 )
 from .inference import InferenceConfig, compile_probability, prob_exact, derivative
-from .lineage import And, LineageFormula, Not, TupleId, Var, tuple_set
+from .lineage import (
+    And,
+    LineageFormula,
+    Not,
+    TupleId,
+    Var,
+    connected_components,
+    tuple_set,
+)
 
 __all__ = [
     "LOGIT_CAP",
@@ -304,7 +312,7 @@ class _CompSpec:
     label_indices: tuple  # the caller's indices of the labels behind formulas
     targets: tuple
     label_weights: tuple
-    incidence: tuple  # per tuple: indices into formulas (mse only)
+    incidence: tuple  # per tuple: indices into formulas; (0,) for logical
     fixed: dict  # known probabilities needed by the formulas
     objective: str
     optimizer: str
@@ -328,47 +336,18 @@ class _CompState:
     accepted_log: list | None = None
 
 
-def _union_find_components(keysets: Sequence[frozenset]):
+def _label_components(keysets: Sequence[frozenset]) -> list:
     """Group keysets that share a key: (keyset indices, keys) per group.
 
-    Groups are ordered by their smallest key.  Keys get dense ints on first
-    sight, so the union-find itself compares and indexes ints only.
+    Empty keysets join no group.  Groups are ordered by their smallest key.
     """
-    slot: dict = {}
-    parent: list = []
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    firsts = []
-    for ks in keysets:
-        first = None
-        for t in ks:
-            s = slot.get(t)
-            if s is None:
-                s = slot[t] = len(parent)
-                parent.append(s)
-            if first is None:
-                first = s
-            else:
-                ra, rb = find(first), find(s)
-                if ra != rb:
-                    parent[ra] = rb
-        firsts.append(first)
-    members: dict = {}
-    for t, s in slot.items():
-        members.setdefault(find(s), []).append(t)
-    groups: dict = {}
-    for i, first in enumerate(firsts):
-        if first is not None:
-            groups.setdefault(find(first), []).append(i)
-    ordered = sorted(groups.items(), key=lambda item: min(members[item[0]]).sort_key)
-    return [(tuple(idxs), frozenset(members[root])) for root, idxs in ordered]
+    grouped = []
+    for idxs in connected_components(keysets):
+        keys = frozenset().union(*(keysets[i] for i in idxs))
+        if keys:
+            grouped.append((tuple(idxs), keys))
+    grouped.sort(key=lambda group: min(group[1]).sort_key)
+    return grouped
 
 
 def _clamp(w: float, cap: float) -> float:
@@ -390,6 +369,21 @@ def _base_pmap(spec: _CompSpec, state: _CompState) -> dict:
     return pmap
 
 
+def _pin(pmap: dict, tid: TupleId, compiled, touched) -> tuple:
+    """The touched formulas' values with p(tid) pinned to 0, then to 1.
+
+    P is multilinear in p(tid), so the two lists give its value anywhere on
+    that line, and their difference the exact partial derivative.
+    """
+    p_t = pmap[tid]
+    pmap[tid] = 0.0
+    lows = [compiled[i](pmap) for i in touched]
+    pmap[tid] = 1.0
+    highs = [compiled[i](pmap) for i in touched]
+    pmap[tid] = p_t
+    return lows, highs
+
+
 def _sgd_pass_mse(spec: _CompSpec, state: _CompState, compiled) -> int:
     pmap = _base_pmap(spec, state)
     order = state.rng.permutation(len(spec.tuples))
@@ -404,11 +398,7 @@ def _sgd_pass_mse(spec: _CompSpec, state: _CompState, compiled) -> int:
         touched = spec.incidence[idx]
         tid = spec.tuples[idx]
         p_t = pmap[tid]
-        pmap[tid] = 0.0
-        lows = [compiled[i](pmap) for i in touched]
-        pmap[tid] = 1.0
-        highs = [compiled[i](pmap) for i in touched]
-        pmap[tid] = p_t
+        lows, highs = _pin(pmap, tid, compiled, touched)
         grad = 0.0
         for k, i in enumerate(touched):
             grad += lweights[i] * 2.0 * (label_p[i] - targets[i]) * (highs[k] - lows[k])
@@ -448,7 +438,6 @@ def _sgd_pass_mse(spec: _CompSpec, state: _CompState, compiled) -> int:
 
 
 def _sgd_pass_logical(spec: _CompSpec, state: _CompState, compiled) -> int:
-    fn = compiled[0]
     pmap = _base_pmap(spec, state)
     order = state.rng.permutation(len(spec.tuples))
     single = spec.optimizer == "sgd-single"
@@ -460,11 +449,7 @@ def _sgd_pass_logical(spec: _CompSpec, state: _CompState, compiled) -> int:
         idx = int(raw)
         tid = spec.tuples[idx]
         p_t = pmap[tid]
-        pmap[tid] = 0.0
-        low = fn(pmap)
-        pmap[tid] = 1.0
-        high = fn(pmap)
-        pmap[tid] = p_t
+        (low,), (high,) = _pin(pmap, tid, compiled, spec.incidence[idx])
         slope = high - low
         rate_slot = 0 if single else idx
         # ascent: the logical objective is maximized
@@ -494,22 +479,12 @@ def _gd_pass(spec: _CompSpec, state: _CompState, compiled) -> int:
     for idx in range(n):
         tid = spec.tuples[idx]
         p_t = pmap[tid]
+        touched = spec.incidence[idx]
+        lows, highs = _pin(pmap, tid, compiled, touched)
         if logical:
-            fn = compiled[0]
-            pmap[tid] = 0.0
-            low = fn(pmap)
-            pmap[tid] = 1.0
-            high = fn(pmap)
-            pmap[tid] = p_t
-            gradient[idx] = (high - low) * p_t * (1.0 - p_t)
+            gradient[idx] = (highs[0] - lows[0]) * p_t * (1.0 - p_t)
         else:
             grad = 0.0
-            touched = spec.incidence[idx]
-            pmap[tid] = 0.0
-            lows = [compiled[i](pmap) for i in touched]
-            pmap[tid] = 1.0
-            highs = [compiled[i](pmap) for i in touched]
-            pmap[tid] = p_t
             for k, i in enumerate(touched):
                 grad += (
                     spec.label_weights[i]
@@ -549,7 +524,7 @@ def _gd_pass(spec: _CompSpec, state: _CompState, compiled) -> int:
 def _compile_component(spec: _CompSpec, state: _CompState) -> tuple:
     """Compile the component's formulas and set its initial objective part.
 
-    The initial values come from the compiled plans, the same polynomials
+    The initial values come from the compiled closures, the same polynomials
     every later pass evaluates.
     """
     compiled = []
@@ -592,7 +567,7 @@ class _Resident:
 
     Each component is compiled and initialized on its first call and runs
     every pass where it lives; only objective values travel back, and the
-    states once at the end.  Compiled plans are closures and do not pickle;
+    states once at the end.  Compiled closures do not pickle;
     compiling where the component lives serves fork and spawn alike.
     """
 
@@ -772,7 +747,7 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
         keysets = [frozenset(tuple_set(lab.formula)) for lab in labels]
     else:
         keysets = [frozenset(tuple_set(lab.formula) & learnable) for lab in labels]
-    grouped = _union_find_components(keysets)
+    grouped = _label_components(keysets)
 
     elapsed_ms = lambda: (time.perf_counter() - start) * 1000.0
 
@@ -810,7 +785,7 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
             formulas = (conjunction,)
             targets = ()
             weights = ()
-            incidence = ()
+            incidence = ((0,),) * len(comp_learnable)
         else:
             if not comp_learnable:
                 # cannot happen for mse keysets (they are learnable-only)

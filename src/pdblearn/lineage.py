@@ -411,6 +411,34 @@ def independent_partition(parts: Sequence[LineageFormula]) -> bool:
     return len(union) == total
 
 
+def connected_components(keysets: Sequence[Iterable]) -> list:
+    """Group the indices of keysets that share a key, directly or transitively.
+
+    Returns lists of indices, each in ascending order, with the groups ordered
+    by their first member.  A keyset with no keys forms a group of its own.
+    """
+    parent = list(range(len(keysets)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: dict = {}
+    for i, keys in enumerate(keysets):
+        for key in keys:
+            j = owner.setdefault(key, i)
+            if j != i:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups: dict = {}
+    for i in range(len(keysets)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 # --- text syntax ------------------------------------------------------------
 
 _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3
@@ -438,38 +466,42 @@ def _fmt(phi, parent_prec: int) -> str:
 
 
 class _Scanner:
-    def __init__(self, text: str):
+    """Tokenizer shared by formula, tuple-id and rule text.
+
+    ``line_no`` is the line the text starts on, so errors in one line of a
+    larger file name that file's line.
+    """
+
+    def __init__(self, text: str, line_no: int = 1):
         self.text = text
         self.pos = 0
-
-    def _line_col(self) -> tuple:
-        consumed = self.text[: self.pos]
-        line = consumed.count("\n") + 1
-        col = self.pos - (consumed.rfind("\n") + 1) + 1
-        return line, col
+        self.line_no = line_no
 
     def error(self, message: str) -> ParseError:
-        line, col = self._line_col()
+        consumed = self.text[: self.pos]
+        line = self.line_no + consumed.count("\n")
+        col = self.pos - (consumed.rfind("\n") + 1) + 1
         return ParseError(message, line, col)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
             self.pos += 1
 
-    def peek(self) -> str:
+    def peek(self, ahead: int = 0) -> str:
         self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        i = self.pos + ahead
+        return self.text[i] if i < len(self.text) else ""
 
-    def expect(self, char: str):
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}")
-        self.pos += 1
-
-    def match(self, char: str) -> bool:
-        if self.peek() == char:
-            self.pos += 1
+    def take(self, literal: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(literal, self.pos):
+            self.pos += len(literal)
             return True
         return False
+
+    def expect(self, literal: str):
+        if not self.take(literal):
+            raise self.error(f"expected {literal!r}")
 
     def regex(self, pattern: re.Pattern) -> str | None:
         self.skip_ws()
@@ -516,7 +548,7 @@ def _parse_args(scanner: _Scanner) -> tuple:
                 if token is None:
                     raise scanner.error("expected a tuple argument")
                 args.append(parse_arg_token(token))
-            if not scanner.match(","):
+            if not scanner.take(","):
                 break
     scanner.expect(")")
     return tuple(args)
@@ -533,7 +565,7 @@ def parse_tuple_id(scanner_or_text) -> TupleId:
     scanner = scanner_or_text
     if scanner.peek() == "#":
         scanner.pos += 1
-        token = scanner.regex(re.compile(r"-?[0-9]+"))
+        token = scanner.regex(_INT_TOKEN)
         if token is None:
             raise scanner.error("expected an integer after '#'")
         return TupleId.synthetic(int(token))
@@ -554,20 +586,20 @@ def parse_formula(text: str) -> LineageFormula:
 
 def _parse_or(scanner: _Scanner) -> LineageFormula:
     parts = [_parse_and(scanner)]
-    while scanner.match("|"):
+    while scanner.take("|"):
         parts.append(_parse_and(scanner))
     return Or(*parts) if len(parts) > 1 else parts[0]
 
 
 def _parse_and(scanner: _Scanner) -> LineageFormula:
     parts = [_parse_unary(scanner)]
-    while scanner.match("&"):
+    while scanner.take("&"):
         parts.append(_parse_unary(scanner))
     return And(*parts) if len(parts) > 1 else parts[0]
 
 
 def _parse_unary(scanner: _Scanner) -> LineageFormula:
-    if scanner.match("!"):
+    if scanner.take("!"):
         return Not(_parse_unary(scanner))
     return _parse_atom(scanner)
 

@@ -24,6 +24,18 @@ from hypothesis import strategies as st
 from pdblearn import And, FALSE, Not, Or, TRUE, TupleId, Var, tuple_set
 
 
+# acceptance verdict lines, printed once the run ends: what a test writes
+# while it runs is captured, so printing them there would hide them
+VERDICT_LINES: list = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if VERDICT_LINES:
+        terminalreporter.section("acceptance verdicts")
+        for line in VERDICT_LINES:
+            terminalreporter.write_line(line)
+
+
 def tid(i: int) -> TupleId:
     return TupleId("t", (int(i),))
 

@@ -174,6 +174,15 @@ class TestFlatten:
         assert flatten(TRUE) == TRUE
         assert flatten(FALSE) == FALSE
 
+    def test_exhausted_budget_leaves_the_brute_force_part(self):
+        # the one expansion factors the first part; the second becomes a
+        # brute-force leaf and comes back as it was
+        first = Or(And(v(1), v(8)), And(v(2), v(8)))
+        second = Or(And(v(3), v(9)), And(v(4), v(9)))
+        cfg = InferenceConfig(shannon_budget=1, brute_force_cutoff=20)
+        flat = flatten(And(first, second), cfg)
+        assert flat == And(v(8), Or(v(1), v(2)), second)
+
     def test_flat_output_needs_no_expansion_budget(self):
         rng = np.random.default_rng(7)
         strict = InferenceConfig(shannon_budget=0, brute_force_cutoff=1)
@@ -190,7 +199,7 @@ class TestCompile:
     def test_compiled_closure_matches_interpreter(self):
         phi, p = shared_pair()
         fn = compile_probability(phi)
-        assert fn(p) == pytest.approx(prob_exact(phi, p), abs=1e-15)
+        assert fn(p) == pytest.approx(prob_bruteforce(phi, p), abs=1e-15)
 
     def test_compiled_closure_is_reusable_across_maps(self):
         phi, p = shared_pair()
@@ -289,5 +298,5 @@ def test_compiled_closure_agrees_with_interpreter(recipe, seed):
     phi = build_formula(recipe)
     p = random_pmap(phi, np.random.default_rng(seed))
     assert compile_probability(phi)(p) == pytest.approx(
-        prob_exact(phi, p), abs=1e-12
+        prob_bruteforce(phi, p), abs=1e-12
     )

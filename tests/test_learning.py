@@ -35,7 +35,7 @@ from pdblearn import (
     tuple_set,
 )
 from pdblearn import learning
-from pdblearn.learning import _union_find_components
+from pdblearn.learning import _label_components
 
 from conftest import random_formula, random_pmap, tid
 
@@ -264,7 +264,7 @@ class TestComponents:
             ((tuple(sorted(idxs)), frozenset(keys)) for idxs, keys in groups),
             key=lambda group: min(group[1]),
         )
-        assert _union_find_components(keysets) == expected
+        assert _label_components(keysets) == expected
 
 
 class TestLearn:
