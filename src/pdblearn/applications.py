@@ -58,6 +58,23 @@ def _seed_ints(seed: int, n: int) -> list:
     return [int(x) for x in np.random.SeedSequence(seed).generate_state(max(n, 1))]
 
 
+def _best_restart(problem: LearningProblem, seed: int, restarts: int, **cfg_fields):
+    """Seeded restarts, with eps_rel off, until one reaches eps_abs.
+
+    Returns the run with the lowest error and the number of runs made.
+    """
+    best_run = None
+    used = 0
+    for run_seed in _seed_ints(seed, restarts):
+        run = learn(problem, LearnerConfig(eps_rel=0.0, seed=run_seed, **cfg_fields))
+        used += 1
+        if best_run is None or run.best < best_run.best:
+            best_run = run
+        if run.status == STATUS_ABS:
+            break
+    return best_run, used
+
+
 # --- conditioning ---------------------------------------------------------------
 
 
@@ -105,23 +122,15 @@ def condition(
     eps_mse = (eps_abs * eps_abs) / float(n**3)
     labels = tuple(Label(phi, 1.0) for phi in constraints)
     problem = LearningProblem(db, labels, learnable=db.tuples)
-    best_run = None
-    used = 0
-    for run_seed in _seed_ints(seed, restarts):
-        cfg = LearnerConfig(
-            eps_abs=eps_mse,
-            eps_rel=0.0,
-            seed=run_seed,
-            max_outer_iterations=max_outer_iterations,
-            threads=threads,
-            inference=inference or InferenceConfig(),
-        )
-        run = learn(problem, cfg)
-        used += 1
-        if best_run is None or run.best < best_run.best:
-            best_run = run
-        if run.status == STATUS_ABS:
-            break
+    best_run, used = _best_restart(
+        problem,
+        seed,
+        restarts,
+        eps_abs=eps_mse,
+        max_outer_iterations=max_outer_iterations,
+        threads=threads,
+        inference=inference or InferenceConfig(),
+    )
     new_db = db.with_probabilities(best_run.probabilities)
     held = prob_exact(conjunction, new_db.probabilities(), inference)
     return ConditionResult(
@@ -389,21 +398,13 @@ def solve_3sat(
     """Search for a satisfying assignment by minimizing the encoded error."""
     db, labels = encode_3sat(clauses, n_vars)
     problem = LearningProblem(db, labels)
-    best_run = None
-    used = 0
-    for run_seed in _seed_ints(seed, restarts):
-        cfg = LearnerConfig(
-            eps_abs=eps_abs,
-            eps_rel=0.0,
-            seed=run_seed,
-            max_outer_iterations=max_outer_iterations,
-        )
-        run = learn(problem, cfg)
-        used += 1
-        if best_run is None or run.best < best_run.best:
-            best_run = run
-        if run.status == STATUS_ABS:
-            break
+    best_run, used = _best_restart(
+        problem,
+        seed,
+        restarts,
+        eps_abs=eps_abs,
+        max_outer_iterations=max_outer_iterations,
+    )
     assignment = {
         i: best_run.probabilities[TupleId.synthetic(i)] >= 0.5
         for i in range(1, n_vars + 1)

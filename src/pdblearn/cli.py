@@ -31,6 +31,8 @@ from .io import (
     write_trace,
 )
 from .learning import (
+    OBJECTIVES,
+    OPTIMIZERS,
     STATUS_MAX_ITERATIONS,
     LearnerConfig,
     LearningProblem,
@@ -63,12 +65,8 @@ def _add_learn_flags(p: argparse.ArgumentParser, max_default: int = 10000) -> No
     p.add_argument("--eps-abs", type=float, default=1e-6, help="absolute stop tolerance")
     p.add_argument("--eps-rel", type=float, default=1e-4, help="relative stop tolerance")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--objective", choices=("mse", "logical"), default="mse")
-    p.add_argument(
-        "--optimizer",
-        choices=("sgd-per-tuple", "sgd-single", "gd"),
-        default="sgd-per-tuple",
-    )
+    p.add_argument("--objective", choices=OBJECTIVES, default="mse")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="sgd-per-tuple")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--max-iterations", type=int, default=max_default)
     p.add_argument("--trace", metavar="CSV", help="write the convergence trace here")

@@ -10,13 +10,17 @@ which some tuples are learnable.  Two objectives are supported:
   with target 1.0 and refutes every label with target 0.0.  Targets must be
   exactly Boolean.  Maximized; the optimum of a consistent instance is 1.
 
-The optimizer follows a stochastic gradient scheme with one adaptive learning
-rate per tuple: parameters live in logit space (clamped to +-logit_cap), each
-step updates a single tuple, a step is accepted only if it improves the
-objective, acceptance doubles that tuple's rate and rejection halves it.
-Variants: ``sgd-single`` shares one rate across all tuples; ``gd`` updates
-every coordinate simultaneously from one gradient evaluation per outer
-iteration.
+The optimizer steps one tuple at a time with one adaptive learning rate per
+tuple, in the same pass for both objectives.  Parameters live in logit space
+(clamped to +-logit_cap); a step goes against the exact slope of the
+objective in p(t), negated for logical since it is maximized; it is accepted
+only if it improves the objective; acceptance doubles the tuple's rate and
+rejection halves it.  An accepted step that crosses a valley (the slope
+changes sign) halves the rate instead, which never happens for logical: its
+one conjunction is multilinear, so the slope in p(t) does not depend on p(t).
+Variants: ``sgd-single`` shares one rate across all tuples; ``gd`` visits the
+tuples in order, drawing nothing from the RNG, and takes all their steps from
+one point as a single step with one rate.
 
 Tuples that never co-occur in a label cannot influence each other, so the
 tuple-label incidence graph is split into connected components which are
@@ -310,8 +314,8 @@ class _CompSpec:
     start_p: tuple  # their initial probabilities, aligned with tuples
     formulas: tuple  # label formulas (mse) or the single conjunction (logical)
     label_indices: tuple  # the caller's indices of the labels behind formulas
-    targets: tuple
-    label_weights: tuple
+    targets: tuple  # per label, aligned with label_indices; read by mse only
+    label_weights: tuple  # likewise
     incidence: tuple  # per tuple: indices into formulas; (0,) for logical
     fixed: dict  # known probabilities needed by the formulas
     objective: str
@@ -326,12 +330,11 @@ class _CompSpec:
 class _CompState:
     """Mutable per-component state; stays in the process that owns it."""
 
-    index: int
     weights: list  # logit-space parameters, aligned with spec.tuples
     rates: list  # one per tuple, or a single shared entry
     rng: np.random.Generator
     value: float = 0.0  # this component's objective part
-    label_p: list = field(default_factory=list)  # cached P per formula (mse)
+    label_p: list = field(default_factory=list)  # cached P per formula
     done: bool = False
     accepted_log: list | None = None
 
@@ -358,15 +361,7 @@ def _clamp(w: float, cap: float) -> float:
     return w
 
 
-# --- per-pass optimizers --------------------------------------------------------
-
-
-def _base_pmap(spec: _CompSpec, state: _CompState) -> dict:
-    pmap = dict(spec.fixed)
-    cap = spec.logit_cap
-    for i, t in enumerate(spec.tuples):
-        pmap[t] = expit(state.weights[i], cap)
-    return pmap
+# --- the pass -----------------------------------------------------------------
 
 
 def _pin(pmap: dict, tid: TupleId, compiled, touched) -> tuple:
@@ -384,141 +379,125 @@ def _pin(pmap: dict, tid: TupleId, compiled, touched) -> tuple:
     return lows, highs
 
 
-def _sgd_pass_mse(spec: _CompSpec, state: _CompState, compiled) -> int:
-    pmap = _base_pmap(spec, state)
-    order = state.rng.permutation(len(spec.tuples))
-    single = spec.optimizer == "sgd-single"
+def _slope(spec: _CompSpec, label_p, touched, lows, highs) -> float:
+    """d(part)/dp(t) in the descent sense, from the touched formulas pinned.
+
+    The logical part is maximized, so for it this is the negated derivative.
+    """
+    if spec.objective == "logical":
+        return lows[0] - highs[0]
+    weights, targets = spec.label_weights, spec.targets
+    grad = 0.0
+    for k, i in enumerate(touched):
+        grad += weights[i] * 2.0 * (label_p[i] - targets[i]) * (highs[k] - lows[k])
+    return grad
+
+
+def _trial(spec: _CompSpec, value: float, label_p, touched, trial_p) -> float:
+    """The component's part once the touched formulas take the values trial_p.
+
+    For mse only the touched terms change, so their change is added to the
+    current part; for logical the one conjunction is the part.
+    """
+    if spec.objective == "logical":
+        return trial_p[0]
+    weights, targets = spec.label_weights, spec.targets
+    delta = 0.0
+    for k, i in enumerate(touched):
+        r_new = trial_p[k] - targets[i]
+        r_old = label_p[i] - targets[i]
+        delta += weights[i] * (r_new * r_new - r_old * r_old)
+    return value + delta
+
+
+def _part(spec: _CompSpec, label_p) -> float:
+    """The component's objective part, from the value of every formula."""
+    if spec.objective == "logical":
+        return label_p[0]
+    value = 0.0
+    for j, p in enumerate(label_p):
+        residual = p - spec.targets[j]
+        value += spec.label_weights[j] * residual * residual
+    return value
+
+
+def _improves(spec: _CompSpec, candidate: float, value: float) -> bool:
+    """mse is minimized and logical maximized."""
+    if spec.objective == "logical":
+        return candidate > value
+    return candidate < value
+
+
+def _adapt(spec: _CompSpec, rate: float, grow: bool) -> float:
+    if grow:
+        return min(rate * 2.0, spec.rate_max)
+    return max(rate * 0.5, spec.rate_min)
+
+
+def _run_pass(spec: _CompSpec, state: _CompState, compiled) -> None:
+    """One pass over the component's tuples, for every objective and optimizer.
+
+    sgd tries a step per tuple, in a fresh random order.  gd visits the tuples
+    in order, drawing nothing from the RNG, collects every tuple's step from
+    the same point and tries them all as one step.
+    """
+    gd = spec.optimizer == "gd"
+    n = len(spec.tuples)
     cap = spec.logit_cap
     weights, rates, label_p = state.weights, state.rates, state.label_p
-    targets, lweights = spec.targets, spec.label_weights
-    value = state.value
-    accepted = 0
-    for raw in order:
-        idx = int(raw)
-        touched = spec.incidence[idx]
-        tid = spec.tuples[idx]
-        p_t = pmap[tid]
-        lows, highs = _pin(pmap, tid, compiled, touched)
-        grad = 0.0
-        for k, i in enumerate(touched):
-            grad += lweights[i] * 2.0 * (label_p[i] - targets[i]) * (highs[k] - lows[k])
-        rate_slot = 0 if single else idx
-        w_new = _clamp(weights[idx] - rates[rate_slot] * grad * p_t * (1.0 - p_t), cap)
-        p_new = expit(w_new, cap)
-        delta = 0.0
-        for k, i in enumerate(touched):
-            r_new = lows[k] + p_new * (highs[k] - lows[k]) - targets[i]
-            r_old = label_p[i] - targets[i]
-            delta += lweights[i] * (r_new * r_new - r_old * r_old)
-        candidate = value + delta
-        if candidate < value:
-            weights[idx] = w_new
-            pmap[tid] = p_new
-            for k, i in enumerate(touched):
-                label_p[i] = lows[k] + p_new * (highs[k] - lows[k])
-            value = candidate
-            grad_new = 0.0
-            for k, i in enumerate(touched):
-                grad_new += (
-                    lweights[i] * 2.0 * (label_p[i] - targets[i]) * (highs[k] - lows[k])
-                )
-            if grad_new * grad < 0.0:
-                # crossed a valley: growing the rate would lock in a
-                # reflection cycle around the optimum, so shrink instead
-                rates[rate_slot] = max(rates[rate_slot] * 0.5, spec.rate_min)
-            else:
-                rates[rate_slot] = min(rates[rate_slot] * 2.0, spec.rate_max)
-            accepted += 1
-            if state.accepted_log is not None:
-                state.accepted_log.append(value)
-        else:
-            rates[rate_slot] = max(rates[rate_slot] * 0.5, spec.rate_min)
-    state.value = value
-    return accepted
-
-
-def _sgd_pass_logical(spec: _CompSpec, state: _CompState, compiled) -> int:
-    pmap = _base_pmap(spec, state)
-    order = state.rng.permutation(len(spec.tuples))
-    single = spec.optimizer == "sgd-single"
-    cap = spec.logit_cap
-    weights, rates = state.weights, state.rates
-    value = state.value
-    accepted = 0
-    for raw in order:
-        idx = int(raw)
-        tid = spec.tuples[idx]
-        p_t = pmap[tid]
-        (low,), (high,) = _pin(pmap, tid, compiled, spec.incidence[idx])
-        slope = high - low
-        rate_slot = 0 if single else idx
-        # ascent: the logical objective is maximized
-        w_new = _clamp(weights[idx] + rates[rate_slot] * slope * p_t * (1.0 - p_t), cap)
-        p_new = expit(w_new, cap)
-        candidate = low + p_new * slope
-        if candidate > value:
-            weights[idx] = w_new
-            pmap[tid] = p_new
-            value = candidate
-            rates[rate_slot] = min(rates[rate_slot] * 2.0, spec.rate_max)
-            accepted += 1
-            if state.accepted_log is not None:
-                state.accepted_log.append(value)
-        else:
-            rates[rate_slot] = max(rates[rate_slot] * 0.5, spec.rate_min)
-    state.value = value
-    return accepted
-
-
-def _gd_pass(spec: _CompSpec, state: _CompState, compiled) -> int:
-    logical = spec.objective == "logical"
-    pmap = _base_pmap(spec, state)
-    cap = spec.logit_cap
-    n = len(spec.tuples)
-    gradient = [0.0] * n
-    for idx in range(n):
-        tid = spec.tuples[idx]
-        p_t = pmap[tid]
-        touched = spec.incidence[idx]
-        lows, highs = _pin(pmap, tid, compiled, touched)
-        if logical:
-            gradient[idx] = (highs[0] - lows[0]) * p_t * (1.0 - p_t)
-        else:
-            grad = 0.0
-            for k, i in enumerate(touched):
-                grad += (
-                    spec.label_weights[i]
-                    * 2.0
-                    * (state.label_p[i] - spec.targets[i])
-                    * (highs[k] - lows[k])
-                )
-            gradient[idx] = grad * p_t * (1.0 - p_t)
-    rate = state.rates[0]
-    sign = 1.0 if logical else -1.0
-    w_new = [_clamp(state.weights[i] + sign * rate * gradient[i], cap) for i in range(n)]
+    pmap = dict(spec.fixed)
     for i, t in enumerate(spec.tuples):
-        pmap[t] = expit(w_new[i], cap)
-    if logical:
-        candidate = compiled[0](pmap)
-        improved = candidate > state.value
-        new_label_p = state.label_p
-    else:
-        new_label_p = [fn(pmap) for fn in compiled]
-        candidate = 0.0
-        for i, value in enumerate(new_label_p):
-            residual = value - spec.targets[i]
-            candidate += spec.label_weights[i] * residual * residual
-        improved = candidate < state.value
-    if improved:
-        state.weights = w_new
-        state.label_p = new_label_p
-        state.value = candidate
-        state.rates[0] = min(rate * 2.0, spec.rate_max)
-        if state.accepted_log is not None:
-            state.accepted_log.append(candidate)
-        return 1
-    state.rates[0] = max(rate * 0.5, spec.rate_min)
-    return 0
+        pmap[t] = expit(weights[i], cap)
+    value = state.value
+    steps = [0.0] * n
+    kept = []  # the part after each accepted step
+    order = range(n) if gd else state.rng.permutation(n)
+    for raw in order:
+        idx = int(raw)
+        tid = spec.tuples[idx]
+        touched = spec.incidence[idx]
+        p_t = pmap[tid]
+        lows, highs = _pin(pmap, tid, compiled, touched)
+        grad = _slope(spec, label_p, touched, lows, highs)
+        if gd:
+            steps[idx] = grad * p_t * (1.0 - p_t)
+            continue
+        slot = idx if spec.optimizer == "sgd-per-tuple" else 0
+        w_new = _clamp(weights[idx] - rates[slot] * grad * p_t * (1.0 - p_t), cap)
+        p_new = expit(w_new, cap)
+        trial_p = [low + p_new * (high - low) for low, high in zip(lows, highs)]
+        candidate = _trial(spec, value, label_p, touched, trial_p)
+        grow = _improves(spec, candidate, value)
+        if grow:
+            weights[idx] = w_new
+            pmap[tid] = p_new
+            for k, i in enumerate(touched):
+                label_p[i] = trial_p[k]
+            value = candidate
+            kept.append(value)
+            # crossed a valley: growing the rate would lock in a reflection
+            # cycle around the optimum, so shrink instead
+            grow = not (_slope(spec, label_p, touched, lows, highs) * grad < 0.0)
+        rates[slot] = _adapt(spec, rates[slot], grow)
+    if gd:
+        rate = rates[0]
+        w_new = [_clamp(weights[i] - rate * steps[i], cap) for i in range(n)]
+        for i, t in enumerate(spec.tuples):
+            pmap[t] = expit(w_new[i], cap)
+        trial_p = [fn(pmap) for fn in compiled]
+        candidate = _part(spec, trial_p)
+        grow = _improves(spec, candidate, value)
+        if grow:
+            state.weights = w_new
+            state.label_p = trial_p
+            value = candidate
+            kept.append(value)
+        rates[0] = _adapt(spec, rate, grow)
+    state.value = value
+    if state.accepted_log is not None:
+        state.accepted_log.extend(kept)
+    if not kept and max(rates) <= spec.rate_min:
+        state.done = True  # no step can change anything anymore
 
 
 def _compile_component(spec: _CompSpec, state: _CompState) -> tuple:
@@ -539,27 +518,9 @@ def _compile_component(spec: _CompSpec, state: _CompState) -> tuple:
             raise IntractableFormulaError(f"{where}: {exc}") from exc
     pmap = dict(spec.fixed)
     pmap.update(zip(spec.tuples, spec.start_p))
-    if spec.objective == "logical":
-        state.value = compiled[0](pmap)
-    else:
-        state.label_p = [fn(pmap) for fn in compiled]
-        value = 0.0
-        for j, p in enumerate(state.label_p):
-            residual = p - spec.targets[j]
-            value += spec.label_weights[j] * residual * residual
-        state.value = value
+    state.label_p = [fn(pmap) for fn in compiled]
+    state.value = _part(spec, state.label_p)
     return tuple(compiled)
-
-
-def _run_pass(spec: _CompSpec, state: _CompState, compiled) -> None:
-    if spec.optimizer == "gd":
-        accepted = _gd_pass(spec, state, compiled)
-    elif spec.objective == "logical":
-        accepted = _sgd_pass_logical(spec, state, compiled)
-    else:
-        accepted = _sgd_pass_mse(spec, state, compiled)
-    if accepted == 0 and max(state.rates) <= spec.rate_min:
-        state.done = True  # no step can change anything anymore
 
 
 class _Resident:
@@ -773,34 +734,26 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
             comp_tuples |= tuple_set(lab.formula)
         comp_fixed = {t: fixed[t] for t in comp_tuples if t in fixed}
         if logical:
-            conjunction = logical_conjunction(comp_labels)
+            formulas = (logical_conjunction(comp_labels),)
             if not comp_learnable:
+                # logical keysets keep fixed tuples, so a group may have no
+                # learnable one: its conjunction is a constant factor
                 try:
-                    fixed_part *= prob_exact(conjunction, comp_fixed, cfg.inference)
+                    fixed_part *= prob_exact(formulas[0], comp_fixed, cfg.inference)
                 except IntractableFormulaError as exc:
                     raise IntractableFormulaError(
                         f"labels {list(label_indices)}: {exc}"
                     ) from exc
                 continue
-            formulas = (conjunction,)
-            targets = ()
-            weights = ()
-            incidence = ((0,),) * len(comp_learnable)
         else:
-            if not comp_learnable:
-                # cannot happen for mse keysets (they are learnable-only)
-                continue
             formulas = tuple(lab.formula for lab in comp_labels)
-            targets = tuple(lab.target for lab in comp_labels)
-            weights = tuple(label_weights[i] for i in label_indices)
-            tuple_pos = {t: k for k, t in enumerate(comp_learnable)}
-            incidence_lists: list = [[] for _ in comp_learnable]
-            for j, formula in enumerate(formulas):
-                for t in tuple_set(formula):
-                    pos = tuple_pos.get(t)
-                    if pos is not None:
-                        incidence_lists[pos].append(j)
-            incidence = tuple(tuple(lst) for lst in incidence_lists)
+        tuple_pos = {t: k for k, t in enumerate(comp_learnable)}
+        incidence: list = [[] for _ in comp_learnable]
+        for j, formula in enumerate(formulas):
+            for t in tuple_set(formula):
+                pos = tuple_pos.get(t)
+                if pos is not None:
+                    incidence[pos].append(j)
         index = len(specs)
         spec = _CompSpec(
             index=index,
@@ -808,9 +761,9 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
             start_p=tuple(init_p[t] for t in comp_learnable),
             formulas=formulas,
             label_indices=label_indices,
-            targets=targets,
-            label_weights=weights,
-            incidence=incidence,
+            targets=tuple(lab.target for lab in comp_labels),
+            label_weights=tuple(label_weights[i] for i in label_indices),
+            incidence=tuple(tuple(lst) for lst in incidence),
             fixed=comp_fixed,
             objective=cfg.objective,
             optimizer=cfg.optimizer,
@@ -821,7 +774,6 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
         )
         n_rates = 1 if cfg.optimizer in ("sgd-single", "gd") else len(comp_learnable)
         state = _CompState(
-            index=index,
             weights=[logit(init_p[t], cfg.logit_cap) for t in comp_learnable],
             rates=[cfg.rate_init] * n_rates,
             rng=np.random.default_rng(children[index + 1]),
@@ -920,13 +872,11 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
         if workers is not None:
             workers.close()
 
-    probabilities = {}
-    by_tuple = {}
+    # in sorted tuple order; tuples in no component keep their initial value
+    probabilities = dict(init_p)
     for spec, state in zip(specs, states):
         for i, t in enumerate(spec.tuples):
-            by_tuple[t] = expit(state.weights[i], cfg.logit_cap)
-    for t in ordered_learnable:
-        probabilities[t] = by_tuple.get(t, init_p[t])
+            probabilities[t] = expit(state.weights[i], cfg.logit_cap)
 
     accepted = None
     if cfg.record_accepted:

@@ -53,6 +53,13 @@ def two_tuple_db():
 
 PAIR_LABELS = (Label(Or(v(1), v(2)), 1.0), Label(v(1), 0.0))
 
+# every objective x optimizer combination
+VARIANTS = [
+    (objective, optimizer)
+    for objective in learning.OBJECTIVES
+    for optimizer in learning.OPTIMIZERS
+]
+
 
 class TestMse:
     def test_mean_of_squared_residuals(self):
@@ -544,24 +551,29 @@ class TestLearn:
         assert spawned.best == serial.best
         assert spawned.accepted == serial.accepted
 
+    @pytest.mark.parametrize("objective, optimizer", VARIANTS)
     @pytest.mark.property
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_accepted_objective_values_strictly_decrease(self, seed):
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_accepted_objective_values_strictly_improve(
+        self, objective, optimizer, seed
+    ):
         rng = np.random.default_rng(seed)
+        logical = objective == "logical"
+        draw = (lambda: float(rng.integers(2))) if logical else rng.random
         n = int(rng.integers(2, 5))
         db = ProbabilisticDatabase()
         for i in range(n):
             db.add(tid(i))
         # tie every formula to t(0) so the instance is a single component
-        labels = [Label(Or(v(0), random_formula(rng, n)), float(rng.random()))]
+        labels = [Label(Or(v(0), random_formula(rng, n)), float(draw()))]
         for _ in range(int(rng.integers(1, 3))):
-            labels.append(
-                Label(And(v(0), random_formula(rng, n)), float(rng.random()))
-            )
+            labels.append(Label(And(v(0), random_formula(rng, n)), float(draw())))
         out = learn(
             LearningProblem(db, tuple(labels)),
             LearnerConfig(
+                objective=objective,
+                optimizer=optimizer,
                 eps_abs=1e-12,
                 eps_rel=0.0,
                 max_outer_iterations=25,
@@ -570,9 +582,53 @@ class TestLearn:
             ),
         )
         assert out.accepted is not None
-        assert all(
-            b < a for a, b in zip(out.accepted, out.accepted[1:])
-        ), out.accepted[:10]
+        pairs = list(zip(out.accepted, out.accepted[1:]))
+        if logical:  # maximized
+            assert all(a < b for a, b in pairs), out.accepted[:10]
+        else:
+            assert all(b < a for a, b in pairs), out.accepted[:10]
+
+    @pytest.mark.parametrize("objective, optimizer", VARIANTS)
+    def test_best_matches_exact_inference(self, objective, optimizer):
+        # three components, each with its own fixed tuple, and one label over
+        # fixed tuples alone: best must equal the objective evaluated from
+        # scratch at the learned probabilities
+        logical = objective == "logical"
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            db = ProbabilisticDatabase()
+            for i in range(50, 55):
+                db.add(tid(i), float(rng.uniform(0.2, 0.8)))
+            labels = []
+            for block in range(3):
+                for i in range(3 * block, 3 * block + 3):
+                    db.add(tid(i))
+                for _ in range(int(rng.integers(1, 4))):
+                    a, b, c = (v(int(i)) for i in rng.permutation(3) + 3 * block)
+                    fixed = v(50 + block)
+                    phi = [
+                        Or(a, And(b, fixed)),
+                        And(a, Not(c)),
+                        Or(And(a, b), And(Not(b), c, fixed)),
+                    ][int(rng.integers(3))]
+                    target = float(rng.integers(2)) if logical else float(rng.random())
+                    labels.append(Label(phi, target))
+            labels.append(Label(Or(v(53), v(54)), 1.0 if logical else 0.3))
+            labels = tuple(labels[i] for i in rng.permutation(len(labels)))
+            out = learn(
+                LearningProblem(db, labels),
+                LearnerConfig(
+                    objective=objective,
+                    optimizer=optimizer,
+                    eps_abs=0.0,
+                    eps_rel=0.0,
+                    max_outer_iterations=30,
+                    seed=seed,
+                ),
+            )
+            p = {**db.probabilities(), **out.probabilities}
+            exact = logical_objective(labels, p) if logical else mse(labels, p)
+            assert out.best == pytest.approx(exact, abs=1e-12), (seed, out.best, exact)
 
     @pytest.mark.property
     @settings(max_examples=100, derandomize=True, deadline=None)
