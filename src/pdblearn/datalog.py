@@ -26,6 +26,17 @@ Grounding semantics over a probabilistic database:
 
 Derived tuples whose lineage folds to the constant false (derivable in no
 world) are dropped.
+
+Joins are hash joins.  A positive literal's bound argument positions are its
+constants plus the variables of the positive literals before it, so they are
+known before any row is read.  Each ``ground`` call keeps one index per
+(relation, bound positions), built on first use from one sort of the
+relation: it maps the bound values to the matching rows in argument order.
+Strata run in dependency order, so a derived relation is complete before any
+rule reads it.  Every partial binding probes the index and unifies only the
+rows it returns, which also checks a variable repeated inside one literal,
+as in ``e(X, X)``.  Matching is type-strict: ``1`` and ``"1"`` differ.
+Negated literals probe the index on all their positions.
 """
 
 from __future__ import annotations
@@ -338,16 +349,22 @@ def ground(program: DeductionProgram, db: ProbabilisticDatabase) -> tuple:
     order = program.stratum_order()
     _validate_against_db(program, db, derived_relations)
 
-    # rows per relation: ground args -> lineage
-    base_rows: dict[str, dict] = {}
+    # rows per relation: ground args -> lineage; derived relations shadow stored ones
+    rows: dict[str, dict] = {}
     for t in db.tuples:
-        base_rows.setdefault(t.relation, {})[t.key] = Var(t)
-    derived_rows: dict[str, dict] = {rel: {} for rel in derived_relations}
+        rows.setdefault(t.relation, {})[t.key] = Var(t)
+    rows.update({rel: {} for rel in derived_relations})
+    # (relation, bound positions) -> bound values -> [(args, lineage)] in args_sort_key order
+    indexes: dict[tuple, dict] = {}
 
-    def rows_for(relation: str) -> dict:
-        if relation in derived_relations:
-            return derived_rows[relation]
-        return base_rows.get(relation, {})
+    def matches(relation: str, positions: tuple, values: tuple):
+        index = indexes.get((relation, positions))
+        if index is None:
+            index = indexes[relation, positions] = {}
+            table = rows.get(relation, {})
+            for key in sorted(table, key=args_sort_key):
+                index.setdefault(tuple(key[i] for i in positions), []).append((key, table[key]))
+        return index.get(values, ())
 
     rules_by_head: dict[str, list] = {}
     for rule in program.rules:
@@ -356,7 +373,7 @@ def ground(program: DeductionProgram, db: ProbabilisticDatabase) -> tuple:
     for relation in order:
         collected: dict[tuple, list] = {}
         for rule in rules_by_head[relation]:
-            for theta, parts in _instantiate(rule, rows_for):
+            for theta, parts in _instantiate(rule, matches):
                 head_args = tuple(_apply(theta, a) for a in rule.head.args)
                 conjunct = And(*parts)
                 if conjunct is FALSE:
@@ -366,13 +383,13 @@ def ground(program: DeductionProgram, db: ProbabilisticDatabase) -> tuple:
             formula = Or(*collected[args])
             if formula is FALSE:
                 continue
-            derived_rows[relation][args] = formula
+            rows[relation][args] = formula
 
-    out = []
-    for relation in sorted(derived_relations):
-        for args in sorted(derived_rows[relation], key=args_sort_key):
-            out.append(DerivedTuple(relation, args, derived_rows[relation][args]))
-    return tuple(out)
+    return tuple(
+        DerivedTuple(relation, args, formula)
+        for relation in sorted(derived_relations)
+        for args, formula in rows[relation].items()  # filled in args_sort_key order
+    )
 
 
 def _validate_against_db(program, db, derived_relations):
@@ -397,29 +414,34 @@ def _apply(theta: Mapping, term):
     return term
 
 
-def _instantiate(rule: DeductionRule, rows_for):
+def _instantiate(rule: DeductionRule, matches):
     """Yield (theta, lineage parts) for every satisfied body instantiation."""
+    negative, comparisons = rule.negative, rule.comparisons
     bindings = [({}, [])]
+    seen: set = set()  # variables bound by the positive literals so far
     for literal in rule.positive:
-        rows = rows_for(literal.relation)
+        args = literal.args
+        positions = tuple(
+            i for i, a in enumerate(args) if not isinstance(a, Variable) or a in seen
+        )
+        seen |= literal.variables()
         next_bindings = []
-        keys = sorted(rows, key=args_sort_key)
         for theta, parts in bindings:
-            for key in keys:
+            values = tuple(_apply(theta, args[i]) for i in positions)
+            for key, lineage in matches(literal.relation, positions, values):
                 theta2 = _unify(literal.args, key, theta)
                 if theta2 is not None:
-                    next_bindings.append((theta2, parts + [rows[key]]))
+                    next_bindings.append((theta2, parts + [lineage]))
         bindings = next_bindings
         if not bindings:
             return
     for theta, parts in bindings:
-        if not all(_holds(c, theta) for c in rule.comparisons):
+        if not all(_holds(c, theta) for c in comparisons):
             continue
-        for literal in rule.negative:
+        for literal in negative:
             args = tuple(_apply(theta, a) for a in literal.args)
-            match = rows_for(literal.relation).get(args)
-            if match is not None:
-                parts = parts + [Not(match)]
+            for _, lineage in matches(literal.relation, tuple(range(len(args))), args):
+                parts = parts + [Not(lineage)]
         yield theta, parts
 
 

@@ -782,14 +782,17 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
         specs.append(spec)
         states.append(state)
 
-    # labels in no component (mse: no learnable tuples) are a constant part
-    if not logical:
-        for i, lab in enumerate(labels):
-            if keysets[i]:
-                continue
-            value = prob_exact(lab.formula, fixed, cfg.inference)
-            residual = value - lab.target
-            fixed_part += label_weights[i] * residual * residual
+    # labels in no component (logical: no tuple, mse: no learnable tuple) are
+    # a constant part
+    for i, lab in enumerate(labels):
+        if keysets[i]:
+            continue
+        if logical:
+            fixed_part *= prob_exact(logical_conjunction([lab]), fixed, cfg.inference)
+            continue
+        value = prob_exact(lab.formula, fixed, cfg.inference)
+        residual = value - lab.target
+        fixed_part += label_weights[i] * residual * residual
 
     values: list = []
     done: list = [False] * len(specs)

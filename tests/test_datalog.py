@@ -26,6 +26,8 @@ from pdblearn import (
     parse_rule,
 )
 
+from pdblearn import datalog
+
 from conftest import STORY_RULES, story_db, worlds_over
 
 
@@ -214,6 +216,26 @@ class TestGrounding:
         ]
         assert [d.lineage for d in first] == [d.lineage for d in second]
 
+    def test_chain_join_inspects_linearly_many_rows(self, monkeypatch):
+        # each edge(Y,Z) probe reads only the rows whose first argument is Y;
+        # a scan of every row per binding would inspect about n * n of them
+        n = 2000
+        db = ProbabilisticDatabase()
+        for i in range(n):
+            db.add(TupleId("edge", (i, i + 1)), 0.5)
+        inspected = 0
+        unify = datalog._unify
+
+        def counting_unify(terms, values, theta):
+            nonlocal inspected
+            inspected += 1
+            return unify(terms, values, theta)
+
+        monkeypatch.setattr(datalog, "_unify", counting_unify)
+        derived = ground(parse_program("path(X,Z) :- edge(X,Y), edge(Y,Z)."), db)
+        assert [d.args for d in derived] == [(i, i + 2) for i in range(n - 1)]
+        assert inspected <= 3 * n, inspected
+
 
 # Fixed programs paired with hand-written world evaluators.  The evaluators
 # derive facts from a deterministic world directly, sharing no code with the
@@ -245,26 +267,83 @@ def _eval_comparison(world):
     return {("lt", (x, y)) for (x, s) in e for (y, u) in e if s < u}
 
 
+def _eval_constants(world):
+    # 1 and "1" are different constants, in rules and in rows alike
+    a = {t.key for t in world if t.relation == "a"}
+    out = {("i", (x,)) for (x, y) in a if y == 1}
+    out |= {("s", (x,)) for (x, y) in a if y == "1"}
+    out |= {("k", (y,)) for (x, y) in a if x == 1}
+    return out | {("b", (x,)) for (x, y) in a if (x, 1) in a and (x, "1") in a}
+
+
+def _eval_repeated_variable(world):
+    e = {t.key for t in world if t.relation == "e"}
+    out = {("loop", (x,)) for (x, y) in e if x == y}
+    return out | {("back", (x, y)) for (x, y) in e if (y, x) in e}
+
+
+def _eval_non_prefix_join(world):
+    a = {t.key for t in world if t.relation == "a"}
+    b = {t.key for t in world if t.relation == "b"}
+    return {("r", (x, z)) for (x, y) in a for (z, w) in b if y == w}
+
+
+def _eval_derived_join(world):
+    a = {t.key for t in world if t.relation == "a"}
+    b = {t.key for t in world if t.relation == "b"}
+    c = {t.key for t in world if t.relation == "c"}
+    f = {(x, y) for (x, y) in a if (y,) not in c}
+    g = {(x, z) for (x, y) in b for (w, z) in f if y == w}
+    h = {(x,) for (x, z) in g if x == z and (x, 2) in f}
+    return {("f", k) for k in f} | {("g", k) for k in g} | {("h", k) for k in h}
+
+
+INTS = st.integers(0, 2)
+
+# (rule text, relation arities, world evaluator, argument values)
 WORLD_PROGRAMS = [
     (
         "p(X) :- a(X,Y), b(Y).\np(X) :- c(X).",
         {"a": 2, "b": 1, "c": 1},
         _eval_join,
+        INTS,
     ),
-    ("s(X) :- n(X), !m(X).", {"n": 1, "m": 1}, _eval_negation),
+    ("s(X) :- n(X), !m(X).", {"n": 1, "m": 1}, _eval_negation, INTS),
     (
         "f(X) :- n(X), m(X).\ng(X) :- n(X), !f(X).",
         {"n": 1, "m": 1},
         _eval_two_strata,
+        INTS,
     ),
-    ("lt(X,Y) :- e(X,S), e(Y,T), S < T.", {"e": 2}, _eval_comparison),
+    ("lt(X,Y) :- e(X,S), e(Y,T), S < T.", {"e": 2}, _eval_comparison, INTS),
+    (
+        'i(X) :- a(X,1).\ns(X) :- a(X,"1").\nk(Y) :- a(1,Y).\n'
+        'b(X) :- a(X,1), a(X,"1").',
+        {"a": 2},
+        _eval_constants,
+        st.sampled_from([0, 1, "1"]),
+    ),
+    (
+        "loop(X) :- e(X,X).\nback(X,Y) :- e(X,Y), e(Y,X).",
+        {"e": 2},
+        _eval_repeated_variable,
+        INTS,
+    ),
+    ("r(X,Z) :- a(X,Y), b(Z,Y).", {"a": 2, "b": 2}, _eval_non_prefix_join, INTS),
+    (
+        "f(X,Y) :- a(X,Y), !c(Y).\ng(X,Z) :- b(X,Y), f(Y,Z).\n"
+        "h(X) :- g(X,X), f(X,2).",
+        {"a": 2, "b": 2, "c": 1},
+        _eval_derived_join,
+        INTS,
+    ),
 ]
 
 
-def _facts_strategy(schema):
+def _facts_strategy(schema, values):
     parts = []
     for relation, arity in sorted(schema.items()):
-        args = st.tuples(*[st.integers(0, 2)] * arity)
+        args = st.tuples(*[values] * arity)
         parts.append(
             st.sets(args, min_size=0, max_size=3).map(
                 lambda keys, rel=relation: {TupleId(rel, k) for k in keys}
@@ -279,8 +358,8 @@ def _facts_strategy(schema):
 @given(data=st.data())
 def test_lineage_agrees_with_every_deterministic_world(case, data):
     """evaluate(lineage, W) must equal derivability from the world W."""
-    text, schema, oracle = WORLD_PROGRAMS[case]
-    base = data.draw(_facts_strategy(schema))
+    text, schema, oracle, values = WORLD_PROGRAMS[case]
+    base = data.draw(_facts_strategy(schema, values))
     if len(base) > 10:
         base = set(sorted(base)[:10])
     db = ProbabilisticDatabase()

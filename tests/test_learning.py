@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pdblearn import (
     And,
     DanglingReferenceError,
+    FALSE,
     InferenceConfig,
     IntractableFormulaError,
     Label,
@@ -20,6 +21,7 @@ from pdblearn import (
     Not,
     Or,
     ProbabilisticDatabase,
+    TRUE,
     TupleId,
     Var,
     expit,
@@ -629,6 +631,24 @@ class TestLearn:
             p = {**db.probabilities(), **out.probabilities}
             exact = logical_objective(labels, p) if logical else mse(labels, p)
             assert out.best == pytest.approx(exact, abs=1e-12), (seed, out.best, exact)
+
+    @pytest.mark.parametrize(
+        "constant, target",
+        [(FALSE, 1.0), (TRUE, 0.0), (TRUE, 1.0)],
+        ids=["false-1", "true-0", "true-1"],
+    )
+    def test_logical_label_over_no_tuple_is_a_constant_factor(self, constant, target):
+        # such a label joins no component; its probability still multiplies best
+        db = ProbabilisticDatabase()
+        db.add(tid(1))
+        labels = (Label(constant, target), Label(v(1), 1.0))
+        out = learn(
+            LearningProblem(db, labels),
+            LearnerConfig(objective="logical", max_outer_iterations=50, seed=0),
+        )
+        exact = logical_objective(labels, out.probabilities)
+        assert out.best == pytest.approx(exact, abs=1e-12), (out.best, exact)
+        assert (exact == 0.0) == ((constant is TRUE) != (target == 1.0))
 
     @pytest.mark.property
     @settings(max_examples=100, derandomize=True, deadline=None)
