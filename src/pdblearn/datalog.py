@@ -36,7 +36,7 @@ Strata run in dependency order, so a derived relation is complete before any
 rule reads it.  Every partial binding probes the index and unifies only the
 rows it returns, which also checks a variable repeated inside one literal,
 as in ``e(X, X)``.  Matching is type-strict: ``1`` and ``"1"`` differ.
-Negated literals probe the index on all their positions.
+A negated literal is fully bound, so it looks its row up by its arguments.
 """
 
 from __future__ import annotations
@@ -373,7 +373,7 @@ def ground(program: DeductionProgram, db: ProbabilisticDatabase) -> tuple:
     for relation in order:
         collected: dict[tuple, list] = {}
         for rule in rules_by_head[relation]:
-            for theta, parts in _instantiate(rule, matches):
+            for theta, parts in _instantiate(rule, rows, matches):
                 head_args = tuple(_apply(theta, a) for a in rule.head.args)
                 conjunct = And(*parts)
                 if conjunct is FALSE:
@@ -414,7 +414,7 @@ def _apply(theta: Mapping, term):
     return term
 
 
-def _instantiate(rule: DeductionRule, matches):
+def _instantiate(rule: DeductionRule, rows, matches):
     """Yield (theta, lineage parts) for every satisfied body instantiation."""
     negative, comparisons = rule.negative, rule.comparisons
     bindings = [({}, [])]
@@ -440,8 +440,9 @@ def _instantiate(rule: DeductionRule, matches):
             continue
         for literal in negative:
             args = tuple(_apply(theta, a) for a in literal.args)
-            for _, lineage in matches(literal.relation, tuple(range(len(args))), args):
-                parts = parts + [Not(lineage)]
+            match = rows.get(literal.relation, {}).get(args)
+            if match is not None:
+                parts = parts + [Not(match)]
         yield theta, parts
 
 

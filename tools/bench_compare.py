@@ -1,15 +1,15 @@
 """Compare two checkouts on perfbench workloads and write one BENCH_<tag>.json.
 
     python3 tools/bench_compare.py --before PARENT --after CHANGE --out BENCH_tag.json \
-        --workload srl-cli:10 --workload srl-learn:5 [--seconds 40] [--first-seed 100]
+        srl-cli srl-learn
 
 Each checkout runs its own ``perfbench/run.py`` from its own root, so each
-side imports its own ``src/`` and both use the same benchmark settings.  For
-``--workload NAME:N`` the script runs N pairs of untraced runs; pair k uses
-seed ``first_seed + k`` on both sides, and the side that runs first alternates
-from pair to pair.  Then it runs one traced run per side, at the first seed,
-for the per-layer metrics and the figures of its record, such as layer self
-times that are not gated metrics.
+side imports its own ``src/``.  Both sides run for ``run_seconds`` of the
+after side's ``BENCHMARK.json``.  Per workload the script runs ten pairs of
+untraced runs; pair k uses seed ``100 + k`` on both sides, and the side that
+runs first alternates from pair to pair.  Then it runs one traced run per
+side, at seed 100, for the per-layer metrics and the figures of its record,
+such as layer self times that are not gated metrics.
 
 The output holds the host (CPU count from ``os.sched_getaffinity``, Python
 version, CPU model), each side's git revision, every run's result line and,
@@ -32,6 +32,9 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+PAIRS = 10
+FIRST_SEED = 100
 
 
 def revision(checkout: Path) -> str:
@@ -102,13 +105,11 @@ def main(argv=None) -> int:
     parser.add_argument("--before", type=Path, required=True)
     parser.add_argument("--after", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workload", action="append", required=True, help="NAME:PAIRS")
-    parser.add_argument("--seconds", type=float)
-    parser.add_argument("--first-seed", type=int, default=100)
+    parser.add_argument("workloads", nargs="+", metavar="WORKLOAD")
     args = parser.parse_args(argv)
     before, after = args.before.resolve(), args.after.resolve()
     bench = json.loads((after / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     bounds = {m["name"]: m for m in bench["end_to_end"]}
 
     report = {
@@ -124,11 +125,10 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "workloads": {},
     }
-    for spec in args.workload:
-        name, n_pairs = spec.split(":")
+    for name in args.workloads:
         pairs = []
-        for k in range(int(n_pairs)):
-            seed = args.first_seed + k
+        for k in range(PAIRS):
+            seed = FIRST_SEED + k
             sides = (("before", before), ("after", after))
             pair = {}
             for side, checkout in sides if k % 2 == 0 else sides[::-1]:
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
             print(f"{time.strftime('%H:%M:%S')} {name} pair {k}: " + ", ".join(
                 f"{side} wall_s {pair[side]['result']['metrics']['wall_s']['value']:.3f}"
                 for side in ("before", "after")), file=sys.stderr)
-        traced = {side: run(checkout, name, args.first_seed, seconds, 1)
+        traced = {side: run(checkout, name, FIRST_SEED, seconds, 1)
                   for side, checkout in (("before", before), ("after", after))}
         all_runs = [p[side] for p in pairs for side in p] + list(traced.values())
         report["workloads"][name] = {
