@@ -27,7 +27,7 @@ import numpy as np
 from .database import ProbabilisticDatabase
 from .datalog import DeductionProgram, DeductionRule, Literal, ground, index_derived
 from .errors import InconsistentConstraintsError, NoEvidenceError
-from .inference import InferenceConfig, prob_exact
+from .inference import prob_exact
 from .learning import (
     STATUS_ABS,
     Label,
@@ -97,7 +97,6 @@ def condition(
     seed: int = 0,
     max_outer_iterations: int = 10000,
     threads: int = 1,
-    inference: InferenceConfig | None = None,
 ) -> ConditionResult:
     """Relearn every tuple probability so all constraints hold together.
 
@@ -112,7 +111,7 @@ def condition(
     # satisfiable iff the conjunction has positive probability somewhere; at
     # p=1/2 every assignment carries equal weight, so zero means unsatisfiable
     half = {t: 0.5 for t in tuple_set(conjunction)}
-    if prob_exact(conjunction, half, inference) <= 0.0:
+    if prob_exact(conjunction, half) <= 0.0:
         raise InconsistentConstraintsError(
             "the constraint conjunction is unsatisfiable"
         )
@@ -129,10 +128,9 @@ def condition(
         eps_abs=eps_mse,
         max_outer_iterations=max_outer_iterations,
         threads=threads,
-        inference=inference or InferenceConfig(),
     )
     new_db = db.with_probabilities(best_run.probabilities)
-    held = prob_exact(conjunction, new_db.probabilities(), inference)
+    held = prob_exact(conjunction, new_db.probabilities())
     return ConditionResult(
         db=new_db,
         probabilities=dict(best_run.probabilities),

@@ -16,7 +16,7 @@ from .bench import format_bench, run_bench, save_bench
 from .datalog import ground, index_derived
 from .errors import InconsistentConstraintsError, PdbError
 from .generators import gen_synthetic_srl, random_3sat
-from .inference import InferenceConfig, prob_exact
+from .inference import prob_exact
 from .io import (
     expand_derived,
     load_instance,
@@ -107,8 +107,7 @@ def cmd_prob(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    cfg = InferenceConfig(brute_force_cutoff=args.brute_force_cutoff)
-    print(prob_exact(formula, db.probabilities(), cfg))
+    print(prob_exact(formula, db.probabilities()))
     return EXIT_OK
 
 
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--tuples", required=True)
     p.add_argument("--rules", help="resolve derived tuple names in the formula")
-    p.add_argument("--brute-force-cutoff", type=int, default=20)
     p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("learn", help="estimate learnable tuple probabilities")

@@ -56,7 +56,7 @@ class FormulaTooLargeError(PdbError):
 
 
 class IntractableFormulaError(PdbError):
-    """Shannon budget exhausted and the residual formula exceeds the brute-force cutoff."""
+    """Exact decomposition needs more than ``max_nodes`` nodes, or nests too deep."""
 
 
 class NonBooleanLabelError(PdbError):

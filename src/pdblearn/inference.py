@@ -16,24 +16,25 @@ enumerating worlds (the oracle).  ``prob_exact`` instead applies, recursively:
   and the other !t at its top conjunction level;
 * Shannon expansion ``P(phi) = p(t) P(phi[t:=true]) + (1-p(t)) P(phi[t:=false])``
   when nothing else applies, on the tuple occurring in the most blocked
-  sibling subformulas (ties: smallest TupleId), limited by
-  ``InferenceConfig.shannon_budget``.
-
-When the budget runs out, subformulas small enough for the brute-force cutoff
-fall back to enumeration; otherwise ``IntractableFormulaError`` is raised.
+  sibling subformulas (ties: smallest TupleId).
 
 The decomposition is a d-tree (Olteanu, Huang & Koch, ICDE 2010).  One
-routine makes the decisions above, once per canonical subformula, and builds
-each node as it decides it.  ``compile_probability`` has it build a closure
-per node, and the root closure evaluates P(phi) from any probability map;
+routine decides the rules above once per canonical subformula; that memo is
+component caching (Sang et al., SAT 2004).  ``InferenceConfig.max_nodes``
+bounds the number of distinct nodes one call decides, and a formula that
+needs more raises ``IntractableFormulaError`` naming the count, so a hard
+formula fails after a bounded amount of work instead of enumerating worlds.
+``compile_probability`` has the routine build a closure per node; the root
+closure evaluates P(phi) from any probability map, computing each node once.
 ``prob_exact`` compiles and calls it once.  ``flatten`` has the same routine
 build formulas instead, turning each Shannon step into a disjoint-or.
 
-All routines are pure; memoization is call-local on canonical subformulas.
+Memoization is call-local on canonical subformulas.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -69,25 +70,19 @@ __all__ = [
     "compile_probability",
 ]
 
-DEFAULT_BRUTE_FORCE_CUTOFF = 20
-
 
 @dataclass(frozen=True)
 class InferenceConfig:
-    """Budgets for exact inference.
+    """Budget for exact inference.
 
-    shannon_budget: maximum Shannon expansions per top-level call.
-    brute_force_cutoff: largest tuple count enumerated exhaustively.
+    max_nodes: most distinct decomposition nodes one top-level call builds.
     """
 
-    shannon_budget: int = 32
-    brute_force_cutoff: int = DEFAULT_BRUTE_FORCE_CUTOFF
+    max_nodes: int = 4096
 
     def __post_init__(self):
-        if self.shannon_budget < 0:
-            raise ValueError("shannon_budget must be >= 0")
-        if self.brute_force_cutoff < 1:
-            raise ValueError("brute_force_cutoff must be >= 1")
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be >= 1")
 
 
 # --- possible-worlds enumeration ---------------------------------------------
@@ -133,7 +128,7 @@ def _eval_vectorized(phi: LineageFormula, bits: dict) -> np.ndarray:
 def prob_bruteforce(
     phi: LineageFormula,
     p: Mapping[TupleId, float],
-    cutoff: int = DEFAULT_BRUTE_FORCE_CUTOFF,
+    cutoff: int = 20,
 ) -> float:
     """Marginal probability by exhaustive world enumeration.
 
@@ -206,78 +201,100 @@ def _decompose(phi: LineageFormula, cfg: InferenceConfig, emit):
     """Decompose phi by the rules above, building one node per subformula.
 
     ``emit`` supplies the node constructors (:class:`_Closures` or
-    :class:`_Formulas`).  Nodes are memoized on canonical subformulas, so a
-    subformula reached twice is decomposed once and costs the Shannon budget
-    once.
+    :class:`_Formulas`).  The first pass decides the rule for each canonical
+    subformula once, so a subformula reached twice is decomposed once and
+    counts once against ``cfg.max_nodes``; needing one node more raises
+    IntractableFormulaError.  The second pass builds the nodes, children
+    first, and routes each node reached from more than one parent through
+    ``emit.shared``, so that one evaluation computes it once.
     """
-    memo: dict = {}
-    budget = cfg.shannon_budget
-    cutoff = cfg.brute_force_cutoff
+    steps: dict = {}  # subformula -> (constructor, argument, subformulas)
+    parents: dict = {}
+    limit = cfg.max_nodes
 
-    def build(phi):
-        nonlocal budget
-        node = memo.get(phi)
-        if node is not None:
-            return node
+    def plan(phi):
+        if phi in parents:
+            parents[phi] += 1
+            return
+        if len(parents) == limit:
+            raise IntractableFormulaError(
+                f"decomposition reached {limit} nodes, the max_nodes limit "
+                f"of {limit}, with a {len(phi._tuples)}-tuple subformula left"
+            )
+        parents[phi] = 1
         if isinstance(phi, Constant):
-            node = emit.const(phi.value)
+            step = (emit.const, phi.value, ())
         elif isinstance(phi, Var):
-            node = emit.leaf(phi.tuple_id)
+            step = (emit.leaf, phi.tuple_id, ())
         elif isinstance(phi, Not):
-            node = emit.neg(build(phi.child))
+            step = (emit.neg, None, (phi.child,))
         else:
             children = phi.children
             groups = connected_components([c._tuples for c in children])
             if len(groups) > 1:
                 op = And if isinstance(phi, And) else Or
-                parts = [build(op(*(children[i] for i in g))) for g in groups]
-                node = emit.indep_and(parts) if op is And else emit.indep_or(parts)
+                parts = [op(*(children[i] for i in g)) for g in groups]
+                step = (emit.indep_and if op is And else emit.indep_or, None, parts)
             elif isinstance(phi, Or) and _pairwise_event_disjoint(children):
-                node = emit.disjoint_or([build(c) for c in children])
-            elif budget > 0:
-                budget -= 1
-                t = _shannon_tuple(children)
-                high = build(substitute(phi, t, True))
-                node = emit.shannon(t, high, build(substitute(phi, t, False)))
-            elif len(phi._tuples) <= cutoff:
-                node = emit.brute(phi, cutoff)
+                step = (emit.disjoint_or, None, children)
             else:
-                raise IntractableFormulaError(
-                    f"Shannon budget exhausted and subformula has {len(phi._tuples)} "
-                    f"tuples (brute-force cutoff {cutoff})"
-                )
-        memo[phi] = node
-        return node
+                t = _shannon_tuple(children)
+                branches = (substitute(phi, t, True), substitute(phi, t, False))
+                step = (emit.shannon, t, branches)
+        for sub in step[2]:
+            plan(sub)
+        steps[phi] = step
 
-    return build(phi)
+    try:
+        plan(phi)
+    except RecursionError:
+        raise IntractableFormulaError(
+            f"decomposition nested too deep after {len(parents)} nodes"
+        ) from None
+    nodes: dict = {}
+    epoch = [0]  # counts evaluations; a shared node's value is valid for one
+    for sub, (make, arg, subs) in steps.items():
+        node = make(arg, tuple(map(nodes.__getitem__, subs)))
+        nodes[sub] = emit.shared(node, epoch) if parents[sub] > 1 else node
+    if max(parents.values()) == 1:
+        return nodes[phi]
+    calls: dict = {}  # longest chain of nested calls one evaluation makes
+    for sub, (_, _, subs) in steps.items():
+        calls[sub] = max((calls[s] for s in subs), default=0) + 1 + (parents[sub] > 1)
+    if calls[phi] > sys.getrecursionlimit() // 2:
+        raise IntractableFormulaError(
+            f"{len(parents)} nodes nest {calls[phi]} calls deep, past half the "
+            "recursion limit"
+        )
+    return emit.root(nodes[phi], epoch)
 
 
 class _Closures:
     """Nodes as closures that evaluate P from a probability map."""
 
     @staticmethod
-    def const(value):
+    def const(value, _):
         def fn(p, _v=1.0 if value else 0.0):
             return _v
 
         return fn
 
     @staticmethod
-    def leaf(t):
+    def leaf(t, _):
         def fn(p, _t=t):
             return p[_t]
 
         return fn
 
     @staticmethod
-    def neg(child):
-        def fn(p, _c=child):
+    def neg(_, kids):
+        def fn(p, _c=kids[0]):
             return 1.0 - _c(p)
 
         return fn
 
     @staticmethod
-    def indep_and(parts):
+    def indep_and(_, parts):
         def fn(p, _parts=tuple(parts)):
             out = 1.0
             for part in _parts:
@@ -287,7 +304,7 @@ class _Closures:
         return fn
 
     @staticmethod
-    def indep_or(parts):
+    def indep_or(_, parts):
         def fn(p, _parts=tuple(parts)):
             out = 1.0
             for part in _parts:
@@ -297,7 +314,7 @@ class _Closures:
         return fn
 
     @staticmethod
-    def disjoint_or(parts):
+    def disjoint_or(_, parts):
         def fn(p, _parts=tuple(parts)):
             out = 0.0
             for part in _parts:
@@ -307,17 +324,30 @@ class _Closures:
         return fn
 
     @staticmethod
-    def shannon(t, high, low):
-        def fn(p, _t=t, _hi=high, _lo=low):
+    def shannon(t, kids):
+        def fn(p, _t=t, _hi=kids[0], _lo=kids[1]):
             x = p[_t]
             return x * _hi(p) + (1.0 - x) * _lo(p)
 
         return fn
 
     @staticmethod
-    def brute(phi, cutoff):
-        def fn(p, _f=phi, _cut=cutoff):
-            return prob_bruteforce(_f, p, _cut)
+    def shared(node, epoch):
+        cell = [-1, 0.0]  # (evaluation, value)
+
+        def fn(p, _node=node, _cell=cell, _epoch=epoch):
+            if _cell[0] != _epoch[0]:
+                _cell[1] = _node(p)
+                _cell[0] = _epoch[0]
+            return _cell[1]
+
+        return fn
+
+    @staticmethod
+    def root(node, epoch):
+        def fn(p, _node=node, _epoch=epoch):
+            _epoch[0] += 1
+            return _node(p)
 
         return fn
 
@@ -325,15 +355,15 @@ class _Closures:
 class _Formulas:
     """Nodes as formulas: Shannon steps become ``(t & high) | (!t & low)``."""
 
-    const = staticmethod(lambda value: TRUE if value else FALSE)
-    leaf = staticmethod(Var)
-    neg = staticmethod(Not)
-    indep_and = staticmethod(lambda parts: And(*parts))
-    indep_or = disjoint_or = staticmethod(lambda parts: Or(*parts))
+    const = staticmethod(lambda value, _: TRUE if value else FALSE)
+    leaf = staticmethod(lambda t, _: Var(t))
+    neg = staticmethod(lambda _, kids: Not(kids[0]))
+    indep_and = staticmethod(lambda _, parts: And(*parts))
+    indep_or = disjoint_or = staticmethod(lambda _, parts: Or(*parts))
     shannon = staticmethod(
-        lambda t, high, low: Or(And(Var(t), high), And(Not(Var(t)), low))
+        lambda t, kids: Or(And(Var(t), kids[0]), And(Not(Var(t)), kids[1]))
     )
-    brute = staticmethod(lambda phi, cutoff: phi)
+    shared = root = staticmethod(lambda node, epoch: node)
 
 
 def compile_probability(
@@ -344,7 +374,8 @@ def compile_probability(
     The closure evaluates the multilinear polynomial directly from a
     probability map; missing tuples surface as KeyError.  Because P is
     multilinear, calling the closure with p(t) pinned to 0 and 1 yields the
-    exact partial derivative as the difference.
+    exact partial derivative as the difference.  Shared nodes keep the value
+    of the current call, so one closure must not run in two threads at once.
     """
     return _decompose(phi, cfg or InferenceConfig(), _Closures)
 
@@ -375,7 +406,6 @@ def derivative(
     """
     if tuple_id not in tuple_set(phi):
         return 0.0
-    cfg = cfg or InferenceConfig()
     high = prob_exact(substitute(phi, tuple_id, True), p, cfg)
     low = prob_exact(substitute(phi, tuple_id, False), p, cfg)
     return high - low
@@ -385,8 +415,8 @@ def flatten(phi: LineageFormula, cfg: InferenceConfig | None = None) -> LineageF
     """Rewrite phi into an equivalent form needing no Shannon expansions.
 
     Shannon steps are materialized as ``(t & phi[t:=true]) | (!t & phi[t:=false])``,
-    which the decomposition rules handle directly.  When the budget runs out
-    the remaining subformulas are left as they are (best effort).
+    which the decomposition rules handle directly.  When the node budget runs
+    out, phi is returned unchanged.
     """
     try:
         return _decompose(phi, cfg or InferenceConfig(), _Formulas)

@@ -129,6 +129,8 @@ def load_labels(
             target = float(raw_target)
         except ValueError:
             raise ParseError(f"bad target {raw_target!r}", line=n) from None
+        if not 0.0 <= target <= 1.0:
+            raise ParseError(f"label target must lie in [0, 1], got {target}", line=n)
         if kind == "Q":
             if derived is None:
                 raise DanglingReferenceError(

@@ -133,8 +133,10 @@ class Label:
     def __post_init__(self):
         if not 0.0 <= self.target <= 1.0:
             raise ValueError(f"label target must lie in [0, 1], got {self.target}")
-        if self.weight is not None and self.weight < 0.0:
-            raise ValueError(f"label weight must be non-negative, got {self.weight}")
+        if self.weight is not None and not 0.0 <= self.weight < math.inf:
+            raise ValueError(
+                f"label weight must be finite and non-negative, got {self.weight}"
+            )
 
 
 @dataclass(frozen=True)

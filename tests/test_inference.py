@@ -1,5 +1,8 @@
 """Exact marginal computation, derivatives, and formula flattening."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,14 +21,19 @@ from pdblearn import (
     Var,
     compile_probability,
     derivative,
+    encode_3sat,
     evaluate,
     flatten,
+    logical_conjunction,
     possible_worlds,
     prob_bruteforce,
     prob_exact,
+    random_3sat,
+    satisfies,
     substitute,
     tuple_set,
 )
+from pdblearn import inference
 
 from conftest import (
     build_formula,
@@ -111,27 +119,72 @@ class TestExact:
         assert got == pytest.approx(0.75, abs=1e-12)
 
     def test_golden_needs_no_brute_force(self):
-        # decomposition plus one Shannon expansion must suffice
+        # one Shannon expansion on t(8), then independence: the root, the
+        # high branch, its two conjunctions, their four tuples and FALSE
         phi, p = shared_pair()
-        cfg = InferenceConfig(shannon_budget=1, brute_force_cutoff=1)
-        assert prob_exact(phi, p, cfg) == pytest.approx(0.3408, abs=1e-12)
-
-    def test_exhausted_budget_falls_back_to_enumeration(self):
-        phi, p = shared_pair()
-        cfg = InferenceConfig(shannon_budget=0, brute_force_cutoff=20)
+        cfg = InferenceConfig(max_nodes=9)
         assert prob_exact(phi, p, cfg) == pytest.approx(0.3408, abs=1e-12)
 
     def test_intractable_formula_raises(self):
         phi, p = shared_pair()
-        cfg = InferenceConfig(shannon_budget=0, brute_force_cutoff=1)
-        with pytest.raises(IntractableFormulaError):
+        cfg = InferenceConfig(max_nodes=8)
+        with pytest.raises(IntractableFormulaError) as err:
             prob_exact(phi, p, cfg)
+        assert "reached 8 nodes" in str(err.value)
+        assert "max_nodes limit of 8" in str(err.value)
+
+    def test_conjunction_of_more_than_twenty_tuples_is_exact(self):
+        # 24 tuples, past what world enumeration takes by default; at p = 1/2
+        # every world weighs 2^-24, so P is #SAT / 2^24 exactly
+        cnf = random_3sat(12, 40, seed=1)
+        _, labels = encode_3sat(cnf, 12)
+        phi = logical_conjunction(labels)
+        assert len(tuple_set(phi)) == 24
+        models = sum(
+            satisfies(cnf, {v: bool(mask >> (v - 1) & 1) for v in range(1, 13)})
+            for mask in range(1 << 12)
+        )
+        assert models == 29
+        half = {t: 0.5 for t in tuple_set(phi)}
+        assert prob_exact(phi, half) == models / 2**24
+
+    def test_shared_nodes_are_computed_once_per_evaluation(self):
+        # the chain t0&t1 | t1&t2 | ... decomposes into 232 nodes, but its
+        # DAG has about 10^8 paths from the root
+        n = 60
+        lookups = []
+
+        class CountingMap(dict):
+            def __getitem__(self, t):
+                lookups.append(t)
+                assert len(lookups) <= 1000, "a shared node was computed twice"
+                return dict.__getitem__(self, t)
+
+        p = CountingMap({tid(i): 0.5 for i in range(n)})
+        # Fib(n + 2) of the 2^n worlds have no two adjacent tuples present
+        fib = (1, 1)
+        for _ in range(n):
+            fib = (fib[1], fib[0] + fib[1])
+        got = prob_exact(Or(*[And(v(i), v(i + 1)) for i in range(n - 1)]), p)
+        assert got == pytest.approx(1.0 - fib[1] / 2**n, abs=1e-12)
+
+    @pytest.mark.parametrize("n, message", [(200, "calls deep"), (600, "too deep")])
+    def test_too_deep_a_decomposition_raises(self, n, message):
+        # 340 frames above this one: the first pass fits the 200-tuple chain,
+        # but an evaluation of it would nest deeper than half the limit
+        chain = Or(*[And(v(i), v(i + 1)) for i in range(n - 1)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 340)
+        try:
+            with pytest.raises(IntractableFormulaError) as err:
+                compile_probability(chain)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert message in str(err.value)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            InferenceConfig(shannon_budget=-1)
-        with pytest.raises(ValueError):
-            InferenceConfig(brute_force_cutoff=0)
+            InferenceConfig(max_nodes=0)
 
     def test_contradictory_conjunction_is_zero(self):
         assert prob_exact(And(v(1), Not(v(1))), {tid(1): 0.4}) == 0.0
@@ -174,25 +227,25 @@ class TestFlatten:
         assert flatten(TRUE) == TRUE
         assert flatten(FALSE) == FALSE
 
-    def test_exhausted_budget_leaves_the_brute_force_part(self):
-        # the one expansion factors the first part; the second becomes a
-        # brute-force leaf and comes back as it was
-        first = Or(And(v(1), v(8)), And(v(2), v(8)))
-        second = Or(And(v(3), v(9)), And(v(4), v(9)))
-        cfg = InferenceConfig(shannon_budget=1, brute_force_cutoff=20)
-        flat = flatten(And(first, second), cfg)
-        assert flat == And(v(8), Or(v(1), v(2)), second)
+    def test_exhausted_budget_returns_the_input(self):
+        phi, _ = shared_pair()
+        assert flatten(phi, InferenceConfig(max_nodes=8)) == phi
 
-    def test_flat_output_needs_no_expansion_budget(self):
+    def test_flat_output_needs_no_expansion_budget(self, monkeypatch):
         rng = np.random.default_rng(7)
-        strict = InferenceConfig(shannon_budget=0, brute_force_cutoff=1)
-        roomy = InferenceConfig(shannon_budget=300, brute_force_cutoff=20)
+        flats = []
         for _ in range(25):
             phi = random_formula(rng, 6)
-            flat = flatten(phi, roomy)
+            flats.append((phi, flatten(phi)))
+
+        def no_shannon(*args):
+            raise AssertionError("flattened formula needed a Shannon expansion")
+
+        monkeypatch.setattr(inference._Closures, "shannon", staticmethod(no_shannon))
+        for phi, flat in flats:
             p = random_pmap(phi, rng)
             want = prob_bruteforce(phi, p) if tuple_set(phi) else prob_exact(phi, p)
-            assert prob_exact(flat, p, strict) == pytest.approx(want, abs=1e-9)
+            assert prob_exact(flat, p) == pytest.approx(want, abs=1e-9)
 
 
 class TestCompile:
@@ -285,7 +338,7 @@ def test_pinning_decomposes_the_marginal(recipe, seed):
 @given(recipes(max_vars=8, max_leaves=10))
 def test_flatten_preserves_the_boolean_function(recipe):
     phi = build_formula(recipe)
-    flat = flatten(phi, InferenceConfig(shannon_budget=300, brute_force_cutoff=20))
+    flat = flatten(phi)
     ids = sorted(recipe_vars(recipe))
     for world in worlds_over([tid(i) for i in ids]):
         assert evaluate(flat, world) == evaluate(phi, world)

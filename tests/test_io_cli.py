@@ -173,6 +173,12 @@ class TestRulesAndLabelFiles:
         with pytest.raises(ParseError) as err:
             load_labels(path, db)
         assert err.value.line == 1
+        row = "F\tfromDomain(1, Wikipedia.org)\t"
+        for bad in ("1.5", "nan"):
+            path.write_text(f"{row}0.5\n{row}{bad}\n", encoding="utf-8")
+            with pytest.raises(ParseError) as err:
+                load_labels(path, db)
+            assert err.value.line == 2
 
 
 class TestProbabilitiesAndTraces:

@@ -96,10 +96,14 @@ class TestMse:
             Label(v(1), -0.1)
         with pytest.raises(ValueError):
             Label(v(1), 0.5, weight=-1.0)
+        with pytest.raises(ValueError):
+            Label(v(1), 0.3, weight=float("nan"))
+        with pytest.raises(ValueError):
+            Label(v(1), 0.3, weight=float("inf"))
 
     def test_intractable_label_is_reported_with_its_index(self):
         labels = (Label(v(1), 1.0), Label(Or(And(v(1), v(2)), And(v(2), v(3))), 0.5))
-        cfg = InferenceConfig(shannon_budget=0, brute_force_cutoff=1)
+        cfg = InferenceConfig(max_nodes=4)
         with pytest.raises(IntractableFormulaError) as err:
             mse(labels, {tid(i): 0.5 for i in (1, 2, 3)}, cfg)
         assert "label 1" in str(err.value)
@@ -437,9 +441,7 @@ class TestLearn:
         for i in (1, 2, 3):
             db.add(tid(i))
         labels = (Label(Or(And(v(1), v(2)), And(v(2), v(3))), 0.5),)
-        cfg = LearnerConfig(
-            inference=InferenceConfig(shannon_budget=0, brute_force_cutoff=1)
-        )
+        cfg = LearnerConfig(inference=InferenceConfig(max_nodes=4))
         with pytest.raises(IntractableFormulaError) as err:
             learn(LearningProblem(db, labels), cfg)
         assert "label 0" in str(err.value)
@@ -459,11 +461,12 @@ class TestLearn:
         )
         cfg = LearnerConfig(
             threads=threads,
-            inference=InferenceConfig(shannon_budget=0, brute_force_cutoff=1),
+            inference=InferenceConfig(max_nodes=4),
         )
         with pytest.raises(IntractableFormulaError) as err:
             learn(LearningProblem(db, labels), cfg)
         assert str(err.value).startswith("label 1: ")
+        assert "reached 4 nodes, the max_nodes limit of 4" in str(err.value)
 
     @pytest.mark.property
     @settings(max_examples=100, derandomize=True, deadline=None)
