@@ -55,7 +55,7 @@ __all__ = [
 
 
 def _seed_ints(seed: int, n: int) -> list:
-    return [int(x) for x in np.random.SeedSequence(seed).generate_state(max(n, 1))]
+    return [int(x) for x in np.random.SeedSequence(seed).generate_state(n)]
 
 
 def _best_restart(problem: LearningProblem, seed: int, restarts: int, **cfg_fields):
@@ -63,6 +63,8 @@ def _best_restart(problem: LearningProblem, seed: int, restarts: int, **cfg_fiel
 
     Returns the run with the lowest error and the number of runs made.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     best_run = None
     used = 0
     for run_seed in _seed_ints(seed, restarts):

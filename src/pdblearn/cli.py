@@ -61,14 +61,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_learn_flags(p: argparse.ArgumentParser, max_default: int = 10000) -> None:
+def _add_learn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-abs", type=float, default=1e-6, help="absolute stop tolerance")
     p.add_argument("--eps-rel", type=float, default=1e-4, help="relative stop tolerance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--objective", choices=OBJECTIVES, default="mse")
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="sgd-per-tuple")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--max-iterations", type=int, default=max_default)
+    p.add_argument("--max-iterations", type=int, default=10000)
     p.add_argument("--trace", metavar="CSV", help="write the convergence trace here")
 
 

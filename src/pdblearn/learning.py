@@ -12,10 +12,11 @@ which some tuples are learnable.  Two objectives are supported:
 
 The optimizer steps one tuple at a time with one adaptive learning rate per
 tuple, in the same pass for both objectives.  Parameters live in logit space
-(clamped to +-logit_cap); a step goes against the exact slope of the
+(clamped to +-LOGIT_CAP); a step goes against the exact slope of the
 objective in p(t), negated for logical since it is maximized; it is accepted
 only if it improves the objective; acceptance doubles the tuple's rate and
-rejection halves it.  An accepted step that crosses a valley (the slope
+rejection halves it.  Rates start at RATE_INIT and stay within
+[RATE_MIN, RATE_MAX].  An accepted step that crosses a valley (the slope
 changes sign) halves the rate instead, which never happens for logical: its
 one conjunction is multilinear, so the slope in p(t) does not depend on p(t).
 Variants: ``sgd-single`` shares one rate across all tuples; ``gd`` visits the
@@ -93,6 +94,9 @@ __all__ = [
 
 # ln(1e9): probabilities are representable down to ~1e-9 from either boundary
 LOGIT_CAP = math.log(1e9)
+RATE_INIT = 1.0
+RATE_MIN = 1e-12
+RATE_MAX = 1e12
 
 STATUS_ABS = "eps_abs"
 STATUS_REL = "eps_rel"
@@ -102,19 +106,19 @@ OBJECTIVES = ("mse", "logical")
 OPTIMIZERS = ("sgd-per-tuple", "sgd-single", "gd")
 
 
-def logit(p: float, cap: float = LOGIT_CAP) -> float:
-    """Map a probability to its log-odds, clamped to [-cap, cap]."""
+def logit(p: float) -> float:
+    """Map a probability to its log-odds, clamped to [-LOGIT_CAP, LOGIT_CAP]."""
     if p <= 0.0:
-        return -cap
+        return -LOGIT_CAP
     if p >= 1.0:
-        return cap
+        return LOGIT_CAP
     w = math.log(p / (1.0 - p))
-    return min(cap, max(-cap, w))
+    return min(LOGIT_CAP, max(-LOGIT_CAP, w))
 
 
-def expit(w: float, cap: float = LOGIT_CAP) -> float:
+def expit(w: float) -> float:
     """Inverse of :func:`logit`; always lands strictly inside (0, 1)."""
-    w = min(cap, max(-cap, w))
+    w = min(LOGIT_CAP, max(-LOGIT_CAP, w))
     return 0.5 * (1.0 + math.tanh(0.5 * w))
 
 
@@ -162,10 +166,6 @@ class LearnerConfig:
     max_outer_iterations: int = 10000
     seed: int = 0
     threads: int = 1
-    logit_cap: float = LOGIT_CAP
-    rate_init: float = 1.0
-    rate_min: float = 1e-12
-    rate_max: float = 1e12
     inference: InferenceConfig = field(default_factory=InferenceConfig)
     record_accepted: bool = False
 
@@ -174,8 +174,10 @@ class LearnerConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.eps_abs < 0 or self.eps_rel < 0:
-            raise ValueError("tolerances must be non-negative")
+        if not (self.eps_abs >= 0 and self.eps_rel >= 0):
+            raise ValueError("tolerances must be non-negative numbers")
+        if self.max_outer_iterations < 0:
+            raise ValueError("max_outer_iterations must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -320,12 +322,7 @@ class _CompSpec:
     label_weights: tuple  # likewise
     incidence: tuple  # per tuple: indices into formulas; (0,) for logical
     fixed: dict  # known probabilities needed by the formulas
-    objective: str
-    optimizer: str
-    logit_cap: float
-    rate_min: float
-    rate_max: float
-    inference: InferenceConfig
+    cfg: LearnerConfig
 
 
 @dataclass
@@ -355,11 +352,11 @@ def _label_components(keysets: Sequence[frozenset]) -> list:
     return grouped
 
 
-def _clamp(w: float, cap: float) -> float:
-    if w > cap:
-        return cap
-    if w < -cap:
-        return -cap
+def _clamp(w: float) -> float:
+    if w > LOGIT_CAP:
+        return LOGIT_CAP
+    if w < -LOGIT_CAP:
+        return -LOGIT_CAP
     return w
 
 
@@ -386,7 +383,7 @@ def _slope(spec: _CompSpec, label_p, touched, lows, highs) -> float:
 
     The logical part is maximized, so for it this is the negated derivative.
     """
-    if spec.objective == "logical":
+    if spec.cfg.objective == "logical":
         return lows[0] - highs[0]
     weights, targets = spec.label_weights, spec.targets
     grad = 0.0
@@ -401,7 +398,7 @@ def _trial(spec: _CompSpec, value: float, label_p, touched, trial_p) -> float:
     For mse only the touched terms change, so their change is added to the
     current part; for logical the one conjunction is the part.
     """
-    if spec.objective == "logical":
+    if spec.cfg.objective == "logical":
         return trial_p[0]
     weights, targets = spec.label_weights, spec.targets
     delta = 0.0
@@ -414,7 +411,7 @@ def _trial(spec: _CompSpec, value: float, label_p, touched, trial_p) -> float:
 
 def _part(spec: _CompSpec, label_p) -> float:
     """The component's objective part, from the value of every formula."""
-    if spec.objective == "logical":
+    if spec.cfg.objective == "logical":
         return label_p[0]
     value = 0.0
     for j, p in enumerate(label_p):
@@ -425,15 +422,15 @@ def _part(spec: _CompSpec, label_p) -> float:
 
 def _improves(spec: _CompSpec, candidate: float, value: float) -> bool:
     """mse is minimized and logical maximized."""
-    if spec.objective == "logical":
+    if spec.cfg.objective == "logical":
         return candidate > value
     return candidate < value
 
 
-def _adapt(spec: _CompSpec, rate: float, grow: bool) -> float:
+def _adapt(rate: float, grow: bool) -> float:
     if grow:
-        return min(rate * 2.0, spec.rate_max)
-    return max(rate * 0.5, spec.rate_min)
+        return min(rate * 2.0, RATE_MAX)
+    return max(rate * 0.5, RATE_MIN)
 
 
 def _run_pass(spec: _CompSpec, state: _CompState, compiled) -> None:
@@ -443,13 +440,12 @@ def _run_pass(spec: _CompSpec, state: _CompState, compiled) -> None:
     in order, drawing nothing from the RNG, collects every tuple's step from
     the same point and tries them all as one step.
     """
-    gd = spec.optimizer == "gd"
+    gd = spec.cfg.optimizer == "gd"
     n = len(spec.tuples)
-    cap = spec.logit_cap
     weights, rates, label_p = state.weights, state.rates, state.label_p
     pmap = dict(spec.fixed)
     for i, t in enumerate(spec.tuples):
-        pmap[t] = expit(weights[i], cap)
+        pmap[t] = expit(weights[i])
     value = state.value
     steps = [0.0] * n
     kept = []  # the part after each accepted step
@@ -464,9 +460,9 @@ def _run_pass(spec: _CompSpec, state: _CompState, compiled) -> None:
         if gd:
             steps[idx] = grad * p_t * (1.0 - p_t)
             continue
-        slot = idx if spec.optimizer == "sgd-per-tuple" else 0
-        w_new = _clamp(weights[idx] - rates[slot] * grad * p_t * (1.0 - p_t), cap)
-        p_new = expit(w_new, cap)
+        slot = idx if spec.cfg.optimizer == "sgd-per-tuple" else 0
+        w_new = _clamp(weights[idx] - rates[slot] * grad * p_t * (1.0 - p_t))
+        p_new = expit(w_new)
         trial_p = [low + p_new * (high - low) for low, high in zip(lows, highs)]
         candidate = _trial(spec, value, label_p, touched, trial_p)
         grow = _improves(spec, candidate, value)
@@ -480,12 +476,12 @@ def _run_pass(spec: _CompSpec, state: _CompState, compiled) -> None:
             # crossed a valley: growing the rate would lock in a reflection
             # cycle around the optimum, so shrink instead
             grow = not (_slope(spec, label_p, touched, lows, highs) * grad < 0.0)
-        rates[slot] = _adapt(spec, rates[slot], grow)
+        rates[slot] = _adapt(rates[slot], grow)
     if gd:
         rate = rates[0]
-        w_new = [_clamp(weights[i] - rate * steps[i], cap) for i in range(n)]
+        w_new = [_clamp(weights[i] - rate * steps[i]) for i in range(n)]
         for i, t in enumerate(spec.tuples):
-            pmap[t] = expit(w_new[i], cap)
+            pmap[t] = expit(w_new[i])
         trial_p = [fn(pmap) for fn in compiled]
         candidate = _part(spec, trial_p)
         grow = _improves(spec, candidate, value)
@@ -494,12 +490,27 @@ def _run_pass(spec: _CompSpec, state: _CompState, compiled) -> None:
             state.label_p = trial_p
             value = candidate
             kept.append(value)
-        rates[0] = _adapt(spec, rate, grow)
+        rates[0] = _adapt(rate, grow)
     state.value = value
     if state.accepted_log is not None:
         state.accepted_log.extend(kept)
-    if not kept and max(rates) <= spec.rate_min:
+    if not kept and max(rates) <= RATE_MIN:
         state.done = True  # no step can change anything anymore
+
+
+def _compile(spec: _CompSpec) -> tuple:
+    """Compile the component's formulas; an intractable one names its labels."""
+    compiled = []
+    for j, formula in enumerate(spec.formulas):
+        try:
+            compiled.append(compile_probability(formula, spec.cfg.inference))
+        except IntractableFormulaError as exc:
+            if spec.cfg.objective == "logical":
+                where = f"labels {list(spec.label_indices)}"
+            else:
+                where = f"label {spec.label_indices[j]}"
+            raise IntractableFormulaError(f"{where}: {exc}") from exc
+    return tuple(compiled)
 
 
 def _compile_component(spec: _CompSpec, state: _CompState) -> tuple:
@@ -508,21 +519,12 @@ def _compile_component(spec: _CompSpec, state: _CompState) -> tuple:
     The initial values come from the compiled closures, the same polynomials
     every later pass evaluates.
     """
-    compiled = []
-    for j, formula in enumerate(spec.formulas):
-        try:
-            compiled.append(compile_probability(formula, spec.inference))
-        except IntractableFormulaError as exc:
-            if spec.objective == "logical":
-                where = f"labels {list(spec.label_indices)}"
-            else:
-                where = f"label {spec.label_indices[j]}"
-            raise IntractableFormulaError(f"{where}: {exc}") from exc
+    compiled = _compile(spec)
     pmap = dict(spec.fixed)
     pmap.update(zip(spec.tuples, spec.start_p))
     state.label_p = [fn(pmap) for fn in compiled]
     state.value = _part(spec, state.label_p)
-    return tuple(compiled)
+    return compiled
 
 
 class _Resident:
@@ -562,6 +564,11 @@ class _Resident:
 
     def states(self, indices) -> list:
         return [self.members[index][1] for index in indices]
+
+    def call(self, method: str, wanted) -> dict:
+        """Run ``method`` on every wanted component; results by component index."""
+        ids = [i for i, w in enumerate(wanted) if w]
+        return dict(zip(ids, getattr(self, method)(ids)))
 
 
 # Worker processes: one per slot, owning that slot's components for the whole
@@ -710,7 +717,10 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
         keysets = [frozenset(tuple_set(lab.formula)) for lab in labels]
     else:
         keysets = [frozenset(tuple_set(lab.formula) & learnable) for lab in labels]
+    # a label that no key reaches (logical: no tuple, mse: no learnable tuple)
+    # is a group of its own, after the others
     grouped = _label_components(keysets)
+    grouped += [((i,), keys) for i, keys in enumerate(keysets) if not keys]
 
     elapsed_ms = lambda: (time.perf_counter() - start) * 1000.0
 
@@ -722,7 +732,7 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
     init_p = {}
     for t in ordered_learnable:
         # round-trip once so cached values match exactly what expit(w) yields
-        init_p[t] = expit(logit(float(init_rng.random()), cfg.logit_cap), cfg.logit_cap)
+        init_p[t] = expit(logit(float(init_rng.random())))
 
     specs: list = []
     states: list = []
@@ -737,16 +747,6 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
         comp_fixed = {t: fixed[t] for t in comp_tuples if t in fixed}
         if logical:
             formulas = (logical_conjunction(comp_labels),)
-            if not comp_learnable:
-                # logical keysets keep fixed tuples, so a group may have no
-                # learnable one: its conjunction is a constant factor
-                try:
-                    fixed_part *= prob_exact(formulas[0], comp_fixed, cfg.inference)
-                except IntractableFormulaError as exc:
-                    raise IntractableFormulaError(
-                        f"labels {list(label_indices)}: {exc}"
-                    ) from exc
-                continue
         else:
             formulas = tuple(lab.formula for lab in comp_labels)
         tuple_pos = {t: k for k, t in enumerate(comp_learnable)}
@@ -767,34 +767,24 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
             label_weights=tuple(label_weights[i] for i in label_indices),
             incidence=tuple(tuple(lst) for lst in incidence),
             fixed=comp_fixed,
-            objective=cfg.objective,
-            optimizer=cfg.optimizer,
-            logit_cap=cfg.logit_cap,
-            rate_min=cfg.rate_min,
-            rate_max=cfg.rate_max,
-            inference=cfg.inference,
+            cfg=cfg,
         )
+        if not comp_learnable:
+            # logical keysets keep fixed tuples and keyless labels form groups
+            # of their own, so a group may have no learnable tuple: its part
+            # is a constant
+            part = _part(spec, [fn(comp_fixed) for fn in _compile(spec)])
+            fixed_part = fixed_part * part if logical else fixed_part + part
+            continue
         n_rates = 1 if cfg.optimizer in ("sgd-single", "gd") else len(comp_learnable)
         state = _CompState(
-            weights=[logit(init_p[t], cfg.logit_cap) for t in comp_learnable],
-            rates=[cfg.rate_init] * n_rates,
+            weights=[logit(init_p[t]) for t in comp_learnable],
+            rates=[RATE_INIT] * n_rates,
             rng=np.random.default_rng(children[index + 1]),
             accepted_log=[] if cfg.record_accepted else None,
         )
         specs.append(spec)
         states.append(state)
-
-    # labels in no component (logical: no tuple, mse: no learnable tuple) are
-    # a constant part
-    for i, lab in enumerate(labels):
-        if keysets[i]:
-            continue
-        if logical:
-            fixed_part *= prob_exact(logical_conjunction([lab]), fixed, cfg.inference)
-            continue
-        value = prob_exact(lab.formula, fixed, cfg.inference)
-        residual = value - lab.target
-        fixed_part += label_weights[i] * residual * residual
 
     values: list = []
     done: list = [False] * len(specs)
@@ -823,11 +813,7 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
         call = workers.call
     else:
         workers = None
-        resident = _Resident(members)
-
-        def call(method: str, wanted) -> dict:
-            ids = [i for i, w in enumerate(wanted) if w]
-            return dict(zip(ids, getattr(resident, method)(ids)))
+        call = _Resident(members).call
 
     try:
         everyone = [True] * len(specs)
@@ -881,7 +867,7 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
     probabilities = dict(init_p)
     for spec, state in zip(specs, states):
         for i, t in enumerate(spec.tuples):
-            probabilities[t] = expit(state.weights[i], cfg.logit_cap)
+            probabilities[t] = expit(state.weights[i])
 
     accepted = None
     if cfg.record_accepted:

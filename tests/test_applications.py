@@ -36,6 +36,7 @@ from pdblearn import (
     tuple_set,
     update_clean,
 )
+from pdblearn import cli
 
 from conftest import build_formula, random_recipe, story_db, tid
 
@@ -77,6 +78,22 @@ class TestCondition:
         assert res.converged
         assert res.restarts_used == 0
         assert res.db.probabilities() == {tid(1): 0.3}
+
+    def test_restarts_below_one_are_rejected(self, tmp_path, capsys):
+        db = ProbabilisticDatabase()
+        db.add(tid(1), 0.5)
+        for restarts in (0, -5):
+            with pytest.raises(ValueError, match="restarts must be >= 1"):
+                solve_3sat([(1,)], 1, restarts=restarts)
+            with pytest.raises(ValueError, match="restarts must be >= 1"):
+                condition(db, [v(1)], restarts=restarts)
+        assert condition(db, [], restarts=0).restarts_used == 0
+        (tmp_path / "tuples.tsv").write_text("t\t1\t0.5\n", encoding="utf-8")
+        (tmp_path / "labels.tsv").write_text("F\tt(1)\t1\n", encoding="utf-8")
+        argv = ["condition", "--tuples", str(tmp_path / "tuples.tsv")]
+        argv += ["--labels", str(tmp_path / "labels.tsv"), "--restarts", "0"]
+        assert cli.main(argv) == 1
+        assert "restarts must be >= 1" in capsys.readouterr().err
 
     def test_contradictory_constraints_rejected(self):
         db = ProbabilisticDatabase()

@@ -281,6 +281,23 @@ class TestComponents:
 
 
 class TestLearn:
+    def test_config_validation(self):
+        nan = float("nan")
+        bad = [
+            {"objective": "mae"},
+            {"optimizer": "adam"},
+            {"eps_abs": -1e-6},
+            {"eps_rel": -1e-4},
+            {"eps_abs": nan},
+            {"eps_rel": nan},
+            {"threads": 0},
+            {"max_outer_iterations": -3},
+        ]
+        for fields in bad:
+            with pytest.raises(ValueError):
+                LearnerConfig(**fields)
+        assert LearnerConfig(max_outer_iterations=0).max_outer_iterations == 0
+
     def test_unique_solution_instance(self):
         db = two_tuple_db()
         labels = (Label(v(7), 0.4), Label(v(8), 0.7))
@@ -440,11 +457,22 @@ class TestLearn:
         db = ProbabilisticDatabase()
         for i in (1, 2, 3):
             db.add(tid(i))
-        labels = (Label(Or(And(v(1), v(2)), And(v(2), v(3))), 0.5),)
-        cfg = LearnerConfig(inference=InferenceConfig(max_nodes=4))
-        with pytest.raises(IntractableFormulaError) as err:
-            learn(LearningProblem(db, labels), cfg)
-        assert "label 0" in str(err.value)
+        for i in range(10, 22):
+            db.add(tid(i), 0.5)
+        # over fixed tuples only: a constant part of either objective
+        chain = Or(*(And(v(i), v(i + 1)) for i in range(10, 21)))
+        cases = [
+            ("mse", (Label(Or(And(v(1), v(2)), And(v(2), v(3))), 0.5),), "label 0: "),
+            ("mse", (Label(v(1), 0.3), Label(chain, 0.2)), "label 1: "),
+            ("logical", (Label(v(1), 1.0), Label(chain, 1.0)), "labels [1]: "),
+        ]
+        for objective, labels, where in cases:
+            cfg = LearnerConfig(
+                objective=objective, inference=InferenceConfig(max_nodes=4)
+            )
+            with pytest.raises(IntractableFormulaError) as err:
+                learn(LearningProblem(db, labels), cfg)
+            assert str(err.value).startswith(where), (objective, str(err.value))
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_intractable_label_named_when_compiled_in_a_worker(self, threads):

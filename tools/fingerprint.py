@@ -12,7 +12,11 @@ against an older ``src`` through ``PYTHONPATH`` as it is.  It covers:
   with each optimizer at threads 1 and 2;
 * mse and logical ``learn`` with each optimizer on three encoded
   8-variable, 15-clause 3SAT instances, run to ``eps_abs`` or 150 passes;
-* ``solve_3sat`` on 15 seeded 8-variable, 15-clause CNFs.
+* ``solve_3sat`` on 15 seeded 8-variable, 15-clause CNFs;
+* mse and logical ``learn`` with each optimizer at threads 1 and 2, and one
+  ``update_clean`` with a prior, on two seeded instances in which every third
+  tuple is fixed, every fifth label mentions fixed tuples only and one label
+  mentions no tuple: the labels that no learnable tuple touches.
 
 For each run it prints the status, the iteration count, ``best``, the trace
 objectives, the accepted objective parts (``record_accepted=True``; not
@@ -22,14 +26,26 @@ order.  It takes about a minute on a 2-CPU host.
 
 from __future__ import annotations
 
+import numpy as np
+
 from pdblearn import (
+    TRUE,
+    And,
+    Label,
     LearnerConfig,
     LearningProblem,
+    Not,
+    Or,
+    ProbabilisticDatabase,
+    TupleId,
+    Var,
     encode_3sat,
     gen_synthetic_srl,
     learn,
+    prob_exact,
     random_3sat,
     solve_3sat,
+    update_clean,
 )
 
 OPTIMIZERS = ("sgd-per-tuple", "sgd-single", "gd")
@@ -46,6 +62,44 @@ def show(name, result):
             print(float(value).hex())
     for t in sorted(result.probabilities):
         print(t, float(result.probabilities[t]).hex())
+
+
+def with_fixed_tuples(seed, boolean, estimates=False):
+    """Labels over blocks of six tuples, where every third tuple is fixed.
+
+    Every fifth label mentions the fixed tuples of one block only; the last
+    block gets no other label, so a logical group there has no learnable
+    tuple.  Boolean targets are read off one hidden world, so the logical
+    conjunction stays satisfiable.  ``estimates`` gives the learnable tuples
+    a current probability, which ``update_clean`` uses as the prior.
+    """
+    n_blocks, block = 10, 6
+    rng = np.random.default_rng(seed)
+    ids = [TupleId.synthetic(k) for k in range(n_blocks * block)]
+    db = ProbabilisticDatabase()
+    for k, t in enumerate(ids):
+        if k % 3 == 0:
+            db.add(t, float(rng.random()))
+        elif estimates:
+            db.add(t, float(rng.random()), learnable=True)
+        else:
+            db.add(t)
+    world = {t: float(rng.random() < 0.5) for t in ids}
+    labels = []
+    for j in range(6 * n_blocks):
+        if j % 5 == 0:
+            first = (j // 5) % n_blocks * block
+            pool = ids[first : first + block : 3]
+        else:
+            first = int(rng.integers(n_blocks - 1)) * block
+            pool = ids[first : first + block]
+        a, b, c, d = (pool[int(k)] for k in rng.integers(len(pool), size=4))
+        formula = Or(And(Var(a), Var(b)), And(Var(c), Not(Var(d))))
+        target = prob_exact(formula, world) if boolean else float(rng.random())
+        labels.append(Label(formula, target))
+    labels.append(Label(TRUE, 1.0 if boolean else 0.75))
+    learnable = [t for k, t in enumerate(ids) if k % 3 != 0]
+    return db, tuple(labels), learnable
 
 
 def main():
@@ -85,6 +139,31 @@ def main():
         print(f"assignment {assignment} satisfied {sat.satisfied}")
         print(f"mse {float(sat.mse).hex()} restarts_used {sat.restarts_used}")
         show(f"solve_3sat seed={seed} best run", sat.result)
+
+    for seed in range(2):
+        for objective in ("mse", "logical"):
+            db, labels, _ = with_fixed_tuples(seed, objective == "logical")
+            problem = LearningProblem(db, labels)
+            for optimizer in OPTIMIZERS:
+                for threads in (1, 2):
+                    cfg = LearnerConfig(
+                        objective=objective,
+                        optimizer=optimizer,
+                        eps_rel=0.0,
+                        max_outer_iterations=60,
+                        seed=seed,
+                        threads=threads,
+                        record_accepted=True,
+                    )
+                    name = f"fixed seed={seed} {objective} {optimizer} threads={threads}"
+                    show(name, learn(problem, cfg))
+
+    db, labels, learnable = with_fixed_tuples(2, False, estimates=True)
+    cfg = LearnerConfig(eps_rel=0.0, max_outer_iterations=60, record_accepted=True)
+    clean = update_clean(db, labels, learnable=learnable, cfg=cfg)
+    print("deletions", " ".join(str(t) for t in clean.deletions))
+    print("certain", " ".join(str(t) for t in clean.certain))
+    show("update_clean with a prior", clean.result)
 
 
 if __name__ == "__main__":
