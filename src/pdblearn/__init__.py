@@ -38,11 +38,9 @@ from .errors import (
     UnknownRelationError,
 )
 from .inference import (
-    InferenceConfig,
     compile_probability,
     derivative,
     flatten,
-    possible_worlds,
     prob_bruteforce,
     prob_exact,
 )
@@ -72,11 +70,9 @@ from .lineage import (
     Var,
     evaluate,
     format_formula,
-    independent_partition,
     parse_formula,
     substitute,
     tuple_set,
-    tuples_of,
 )
 from .bench import BenchCell, format_bench, run_bench, save_bench
 from .io import (

@@ -35,6 +35,7 @@ from .learning import (
     LearningProblem,
     LearnResult,
     learn,
+    prior_augment,
 )
 from .lineage import And, LineageFormula, Not, Or, TupleId, Var, tuple_set
 
@@ -172,20 +173,18 @@ def update_clean(
     """Revise tuple probabilities against new evidence labels.
 
     By default every database tuple is revisable and its current probability
-    acts as a prior with weight ``1 - prior_weight``; tuples pushed to the
-    boundaries are reported as deletions (<= zero_tol) or certain
-    (>= 1 - one_tol).
+    acts as a prior with weight ``1 - prior_weight``, which needs the mse
+    objective; tuples pushed to the boundaries are reported as deletions
+    (<= zero_tol) or certain (>= 1 - one_tol).
     """
+    cfg = cfg or LearnerConfig()
     chosen = frozenset(learnable) if learnable is not None else db.tuples
     prior = {t: db.probability(t) for t in sorted(chosen) if db.has_probability(t)}
-    problem = LearningProblem(
-        db,
-        tuple(labels),
-        learnable=chosen,
-        prior=prior or None,
-        prior_weight=prior_weight,
-    )
-    result = learn(problem, cfg or LearnerConfig())
+    if prior:
+        if cfg.objective != "mse":
+            raise ValueError("priors require the mse objective")
+        labels = prior_augment(labels, prior, prior_weight)
+    result = learn(LearningProblem(db, labels, learnable=chosen), cfg)
     probabilities = dict(result.probabilities)
     ordered = sorted(probabilities)
     deletions = tuple(t for t in ordered if probabilities[t] <= zero_tol)

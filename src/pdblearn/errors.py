@@ -56,7 +56,7 @@ class FormulaTooLargeError(PdbError):
 
 
 class IntractableFormulaError(PdbError):
-    """Exact decomposition needs more than ``max_nodes`` nodes, or nests too deep."""
+    """Exact decomposition needs more than ``inference.MAX_NODES`` nodes, or nests too deep."""
 
 
 class NonBooleanLabelError(PdbError):

@@ -20,10 +20,10 @@ enumerating worlds (the oracle).  ``prob_exact`` instead applies, recursively:
 
 The decomposition is a d-tree (Olteanu, Huang & Koch, ICDE 2010).  One
 routine decides the rules above once per canonical subformula; that memo is
-component caching (Sang et al., SAT 2004).  ``InferenceConfig.max_nodes``
-bounds the number of distinct nodes one call decides, and a formula that
-needs more raises ``IntractableFormulaError`` naming the count, so a hard
-formula fails after a bounded amount of work instead of enumerating worlds.
+component caching (Sang et al., SAT 2004).  ``MAX_NODES`` bounds the number
+of distinct nodes one call decides, and a formula that needs more raises
+``IntractableFormulaError`` naming its size and the count, so a hard formula
+fails after a bounded amount of work instead of enumerating worlds.
 ``compile_probability`` has the routine build a closure per node; the root
 closure evaluates P(phi) from any probability map, computing each node once.
 ``prob_exact`` compiles and calls it once.  ``flatten`` has the same routine
@@ -35,8 +35,7 @@ Memoization is call-local on canonical subformulas.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,8 +60,7 @@ from .lineage import (
 )
 
 __all__ = [
-    "InferenceConfig",
-    "possible_worlds",
+    "MAX_NODES",
     "prob_bruteforce",
     "prob_exact",
     "derivative",
@@ -70,46 +68,11 @@ __all__ = [
     "compile_probability",
 ]
 
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    """Budget for exact inference.
-
-    max_nodes: most distinct decomposition nodes one top-level call builds.
-    """
-
-    max_nodes: int = 4096
-
-    def __post_init__(self):
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be >= 1")
+# most distinct decomposition nodes one top-level call builds
+MAX_NODES = 4096
 
 
 # --- possible-worlds enumeration ---------------------------------------------
-
-
-def possible_worlds(
-    tuple_ids: Iterable[TupleId], p: Mapping[TupleId, float]
-) -> Iterator[tuple]:
-    """Yield every (world, weight) pair over the given tuples.
-
-    Worlds are frozensets of present tuples; bit i of the enumeration index
-    corresponds to the i-th tuple in sorted order.  Weights multiply p(t) for
-    present and 1-p(t) for absent tuples and sum to 1 over the enumeration.
-    """
-    ordered = sorted(set(tuple_ids))
-    probs = [float(p[t]) for t in ordered]
-    n = len(ordered)
-    for mask in range(1 << n):
-        weight = 1.0
-        present = []
-        for i in range(n):
-            if mask >> i & 1:
-                weight *= probs[i]
-                present.append(ordered[i])
-            else:
-                weight *= 1.0 - probs[i]
-        yield frozenset(present), weight
 
 
 def _eval_vectorized(phi: LineageFormula, bits: dict) -> np.ndarray:
@@ -197,20 +160,20 @@ def _shannon_tuple(children: Sequence[LineageFormula]) -> TupleId:
     return min(t for t, c in counts.items() if c == top)
 
 
-def _decompose(phi: LineageFormula, cfg: InferenceConfig, emit):
+def _decompose(phi: LineageFormula, emit):
     """Decompose phi by the rules above, building one node per subformula.
 
     ``emit`` supplies the node constructors (:class:`_Closures` or
     :class:`_Formulas`).  The first pass decides the rule for each canonical
     subformula once, so a subformula reached twice is decomposed once and
-    counts once against ``cfg.max_nodes``; needing one node more raises
-    IntractableFormulaError.  The second pass builds the nodes, children
+    counts once against ``MAX_NODES``, read at each call; needing one node more
+    raises IntractableFormulaError.  The second pass builds the nodes, children
     first, and routes each node reached from more than one parent through
     ``emit.shared``, so that one evaluation computes it once.
     """
     steps: dict = {}  # subformula -> (constructor, argument, subformulas)
     parents: dict = {}
-    limit = cfg.max_nodes
+    limit, size = MAX_NODES, len(phi._tuples)
 
     def plan(phi):
         if phi in parents:
@@ -218,8 +181,8 @@ def _decompose(phi: LineageFormula, cfg: InferenceConfig, emit):
             return
         if len(parents) == limit:
             raise IntractableFormulaError(
-                f"decomposition reached {limit} nodes, the max_nodes limit "
-                f"of {limit}, with a {len(phi._tuples)}-tuple subformula left"
+                f"decomposition of a {size}-tuple formula reached "
+                f"{limit} nodes, the MAX_NODES limit of {limit}"
             )
         parents[phi] = 1
         if isinstance(phi, Constant):
@@ -367,7 +330,7 @@ class _Formulas:
 
 
 def compile_probability(
-    phi: LineageFormula, cfg: InferenceConfig | None = None
+    phi: LineageFormula,
 ) -> Callable[[Mapping[TupleId, float]], float]:
     """Compile P(phi) into a closure for repeated evaluation.
 
@@ -377,16 +340,12 @@ def compile_probability(
     exact partial derivative as the difference.  Shared nodes keep the value
     of the current call, so one closure must not run in two threads at once.
     """
-    return _decompose(phi, cfg or InferenceConfig(), _Closures)
+    return _decompose(phi, _Closures)
 
 
-def prob_exact(
-    phi: LineageFormula,
-    p: Mapping[TupleId, float],
-    cfg: InferenceConfig | None = None,
-) -> float:
+def prob_exact(phi: LineageFormula, p: Mapping[TupleId, float]) -> float:
     """Exact marginal probability via the decomposition rules above."""
-    fn = compile_probability(phi, cfg)
+    fn = compile_probability(phi)
     try:
         return float(fn(p))
     except KeyError as exc:
@@ -394,10 +353,7 @@ def prob_exact(
 
 
 def derivative(
-    phi: LineageFormula,
-    tuple_id: TupleId,
-    p: Mapping[TupleId, float],
-    cfg: InferenceConfig | None = None,
+    phi: LineageFormula, tuple_id: TupleId, p: Mapping[TupleId, float]
 ) -> float:
     """Partial derivative of P(phi) with respect to p(tuple_id).
 
@@ -406,12 +362,12 @@ def derivative(
     """
     if tuple_id not in tuple_set(phi):
         return 0.0
-    high = prob_exact(substitute(phi, tuple_id, True), p, cfg)
-    low = prob_exact(substitute(phi, tuple_id, False), p, cfg)
+    high = prob_exact(substitute(phi, tuple_id, True), p)
+    low = prob_exact(substitute(phi, tuple_id, False), p)
     return high - low
 
 
-def flatten(phi: LineageFormula, cfg: InferenceConfig | None = None) -> LineageFormula:
+def flatten(phi: LineageFormula) -> LineageFormula:
     """Rewrite phi into an equivalent form needing no Shannon expansions.
 
     Shannon steps are materialized as ``(t & phi[t:=true]) | (!t & phi[t:=false])``,
@@ -419,6 +375,6 @@ def flatten(phi: LineageFormula, cfg: InferenceConfig | None = None) -> LineageF
     out, phi is returned unchanged.
     """
     try:
-        return _decompose(phi, cfg or InferenceConfig(), _Formulas)
+        return _decompose(phi, _Formulas)
     except IntractableFormulaError:
         return phi

@@ -4,8 +4,9 @@ A labeled instance is a list of (formula, target) pairs over a database in
 which some tuples are learnable.  Two objectives are supported:
 
 * ``mse``: the mean squared error ``sum_i w_i (P(phi_i) - target_i)^2`` where
-  ``w_i`` defaults to ``1/|labels|`` and can be overridden per label (that is
-  how prior terms are folded in: see :func:`prior_augment`).  Minimized.
+  ``w_i`` defaults to ``1/|labels|`` and can be overridden per label.  A prior
+  enters as weighted single-tuple labels: :func:`prior_augment` builds them,
+  and ``applications.update_clean`` folds them in.  Minimized.
 * ``logical``: the probability of the conjunction that asserts every label
   with target 1.0 and refutes every label with target 0.0.  Targets must be
   exactly Boolean.  Maximized; the optimum of a consistent instance is 1.
@@ -62,7 +63,7 @@ from .errors import (
     IntractableFormulaError,
     NonBooleanLabelError,
 )
-from .inference import InferenceConfig, compile_probability, prob_exact, derivative
+from .inference import compile_probability, prob_exact, derivative
 from .lineage import (
     And,
     LineageFormula,
@@ -148,8 +149,6 @@ class LearningProblem:
     db: ProbabilisticDatabase
     labels: tuple
     learnable: frozenset | None = None  # defaults to db.learnable
-    prior: Mapping | None = None  # TupleId -> prior probability
-    prior_weight: float = 1.0  # balance: data weight c, prior weight 1-c
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -166,7 +165,6 @@ class LearnerConfig:
     max_outer_iterations: int = 10000
     seed: int = 0
     threads: int = 1
-    inference: InferenceConfig = field(default_factory=InferenceConfig)
     record_accepted: bool = False
 
     def __post_init__(self):
@@ -210,11 +208,7 @@ def _check_targets(labels: Sequence[Label]):
             raise ValueError(f"label {i} target {lab.target} outside [0, 1]")
 
 
-def mse(
-    labels: Sequence[Label],
-    p: Mapping[TupleId, float],
-    cfg: InferenceConfig | None = None,
-) -> float:
+def mse(labels: Sequence[Label], p: Mapping[TupleId, float]) -> float:
     """Weighted mean squared error of the labels under probability map p."""
     _check_targets(labels)
     if not labels:
@@ -223,7 +217,7 @@ def mse(
     total = 0.0
     for i, lab in enumerate(labels):
         try:
-            residual = prob_exact(lab.formula, p, cfg) - lab.target
+            residual = prob_exact(lab.formula, p) - lab.target
         except IntractableFormulaError as exc:
             raise IntractableFormulaError(f"label {i}: {exc}") from exc
         total += weights[i] * residual * residual
@@ -231,10 +225,7 @@ def mse(
 
 
 def mse_gradient(
-    labels: Sequence[Label],
-    p: Mapping[TupleId, float],
-    tuple_id: TupleId,
-    cfg: InferenceConfig | None = None,
+    labels: Sequence[Label], p: Mapping[TupleId, float], tuple_id: TupleId
 ) -> float:
     """Partial derivative of :func:`mse` with respect to p(tuple_id)."""
     _check_targets(labels)
@@ -246,8 +237,8 @@ def mse_gradient(
         if tuple_id not in tuple_set(lab.formula):
             continue
         try:
-            residual = prob_exact(lab.formula, p, cfg) - lab.target
-            slope = derivative(lab.formula, tuple_id, p, cfg)
+            residual = prob_exact(lab.formula, p) - lab.target
+            slope = derivative(lab.formula, tuple_id, p)
         except IntractableFormulaError as exc:
             raise IntractableFormulaError(f"label {i}: {exc}") from exc
         total += weights[i] * 2.0 * residual * slope
@@ -270,13 +261,9 @@ def logical_conjunction(labels: Sequence[Label]) -> LineageFormula:
     return And(*parts)
 
 
-def logical_objective(
-    labels: Sequence[Label],
-    p: Mapping[TupleId, float],
-    cfg: InferenceConfig | None = None,
-) -> float:
+def logical_objective(labels: Sequence[Label], p: Mapping[TupleId, float]) -> float:
     """Probability that every label holds with its Boolean target."""
-    return prob_exact(logical_conjunction(labels), p, cfg)
+    return prob_exact(logical_conjunction(labels), p)
 
 
 def prior_augment(
@@ -503,7 +490,7 @@ def _compile(spec: _CompSpec) -> tuple:
     compiled = []
     for j, formula in enumerate(spec.formulas):
         try:
-            compiled.append(compile_probability(formula, spec.cfg.inference))
+            compiled.append(compile_probability(formula))
         except IntractableFormulaError as exc:
             if spec.cfg.objective == "logical":
                 where = f"labels {list(spec.label_indices)}"
@@ -681,24 +668,11 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
     cfg = cfg or LearnerConfig()
     start = time.perf_counter()
 
-    labels = list(problem.labels)
+    labels = problem.labels
     learnable = frozenset(
         problem.learnable if problem.learnable is not None else problem.db.learnable
     )
-    known = problem.db.tuples
-    _validate_problem(labels, learnable, known)
-
-    if problem.prior is not None:
-        if cfg.objective != "mse":
-            raise ValueError("priors require the mse objective")
-        n_data = len(labels)
-        labels = list(prior_augment(labels, problem.prior, problem.prior_weight))
-        for lab in labels[n_data:]:
-            unknown = tuple_set(lab.formula) - known
-            if unknown:
-                raise DanglingReferenceError(
-                    f"prior references tuple(s) not in the database: {sorted(unknown)[:3]}"
-                )
+    _validate_problem(labels, learnable, problem.db.tuples)
 
     logical = cfg.objective == "logical"
     if logical:

@@ -51,9 +51,7 @@ __all__ = [
     "Or",
     "evaluate",
     "substitute",
-    "tuples_of",
     "tuple_set",
-    "independent_partition",
     "parse_formula",
     "format_formula",
 ]
@@ -354,11 +352,6 @@ def tuple_set(phi: LineageFormula) -> frozenset:
     return phi._tuples
 
 
-def tuples_of(phi: LineageFormula) -> tuple:
-    """The TupleIds of ``phi`` in deterministic (sorted) order."""
-    return tuple(sorted(phi._tuples))
-
-
 def evaluate(phi: LineageFormula, world: Iterable[TupleId]) -> bool:
     """Truth value of ``phi`` in the possible world ``world`` (a set of present tuples)."""
     if not isinstance(world, (set, frozenset)):
@@ -399,16 +392,6 @@ def substitute(phi: LineageFormula, tuple_id: TupleId, value: bool) -> LineageFo
         return Or(*(go(c) for c in f.children))
 
     return go(phi)
-
-
-def independent_partition(parts: Sequence[LineageFormula]) -> bool:
-    """True iff the formulas mention pairwise disjoint tuple sets."""
-    total = 0
-    union = set()
-    for part in parts:
-        total += len(part._tuples)
-        union.update(part._tuples)
-    return len(union) == total
 
 
 def connected_components(keysets: Sequence[Iterable]) -> list:

@@ -13,6 +13,7 @@ from pdblearn import (
     InconsistentConstraintsError,
     Label,
     LearnerConfig,
+    LearningProblem,
     NoEvidenceError,
     Not,
     Or,
@@ -26,6 +27,7 @@ from pdblearn import (
     gen_synthetic_srl,
     ground,
     index_derived,
+    learn,
     mse,
     parse_program,
     prob_exact,
@@ -187,6 +189,38 @@ class TestUpdateClean:
         db, u = self.one_tuple_db()
         update_clean(db, [Label(Var(u), 1.0)], prior_weight=1.0, cfg=TIGHT)
         assert db.probability(u) == 0.5
+
+    @pytest.mark.parametrize("objective", ["mse", "logical"])
+    def test_without_a_prior_matches_plain_learn(self, objective):
+        # no chosen tuple has a probability, so there is no prior to fold in
+        # and the labels keep their weights whatever prior_weight says
+        db = ProbabilisticDatabase()
+        for i in range(1, 6):
+            db.add(tid(i))
+        db.add(tid(9), 0.4)
+        labels = [
+            Label(Or(And(v(1), v(2)), v(9)), 1.0),
+            Label(And(v(2), Not(v(3))), 0.0),
+            Label(Or(v(3), v(4)), 1.0),
+        ]
+        chosen = [tid(i) for i in (1, 2, 3, 4)]
+        cfg = LearnerConfig(objective=objective, eps_rel=0.0, max_outer_iterations=40)
+        res = update_clean(db, labels, learnable=chosen, prior_weight=0.3, cfg=cfg)
+        plain = learn(LearningProblem(db, labels, learnable=chosen), cfg)
+        assert res.result.best.hex() == plain.best.hex()
+        assert [row[:2] for row in res.result.trace] == [row[:2] for row in plain.trace]
+        assert res.result.probabilities == plain.probabilities
+
+    def test_priors_require_mse(self, tmp_path, capsys):
+        db, u = self.one_tuple_db()
+        with pytest.raises(ValueError, match="priors require the mse objective"):
+            update_clean(db, [Label(Var(u), 1.0)], cfg=LearnerConfig(objective="logical"))
+        (tmp_path / "tuples.tsv").write_text("u\t1\t0.5\n", encoding="utf-8")
+        (tmp_path / "labels.tsv").write_text("F\tu(1)\t1\n", encoding="utf-8")
+        argv = ["clean", "--tuples", str(tmp_path / "tuples.tsv")]
+        argv += ["--labels", str(tmp_path / "labels.tsv"), "--objective", "logical"]
+        assert cli.main(argv) == 1
+        assert "priors require the mse objective" in capsys.readouterr().err
 
 
 class TestIncompleteCompletion:

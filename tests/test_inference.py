@@ -12,7 +12,6 @@ from pdblearn import (
     And,
     FALSE,
     FormulaTooLargeError,
-    InferenceConfig,
     IntractableFormulaError,
     MissingProbabilityError,
     Not,
@@ -25,7 +24,6 @@ from pdblearn import (
     evaluate,
     flatten,
     logical_conjunction,
-    possible_worlds,
     prob_bruteforce,
     prob_exact,
     random_3sat,
@@ -87,23 +85,25 @@ class TestBruteForce:
 
 
 class TestPossibleWorlds:
+    """The worlds the oracle enumerates, each read back as a full conjunction."""
+
     def test_enumerates_every_subset_once_with_normalized_weights(self):
-        ids = [tid(1), tid(2), tid(3)]
+        ids = [1, 2, 3]
         p = {tid(1): 0.2, tid(2): 0.5, tid(3): 0.9}
-        seen = list(possible_worlds(ids, p))
-        assert len(seen) == 8
-        worlds = [frozenset(w) for w, _ in seen]
-        assert len(set(worlds)) == 8
-        assert sum(weight for _, weight in seen) == pytest.approx(1.0, abs=1e-12)
+        weights = []
+        for mask in range(8):
+            world = And(*(v(i) if mask >> k & 1 else Not(v(i)) for k, i in enumerate(ids)))
+            weights.append(prob_bruteforce(world, p))
+        assert min(weights) > 0.0
+        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_world_weight_is_product_form(self):
         p = {tid(1): 0.2, tid(2): 0.5}
-        weights = {frozenset(w): weight for w, weight in possible_worlds(p, p)}
-        assert weights[frozenset()] == pytest.approx(0.8 * 0.5, abs=1e-15)
-        assert weights[frozenset({tid(1)})] == pytest.approx(0.2 * 0.5, abs=1e-15)
-        assert weights[frozenset({tid(1), tid(2)})] == pytest.approx(
-            0.2 * 0.5, abs=1e-15
-        )
+        absent = prob_bruteforce(And(Not(v(1)), Not(v(2))), p)
+        assert absent == pytest.approx(0.8 * 0.5, abs=1e-15)
+        one = prob_bruteforce(And(v(1), Not(v(2))), p)
+        assert one == pytest.approx(0.2 * 0.5, abs=1e-15)
+        assert prob_bruteforce(And(v(1), v(2)), p) == pytest.approx(0.2 * 0.5, abs=1e-15)
 
 
 class TestExact:
@@ -118,20 +118,32 @@ class TestExact:
         got = prob_exact(Not(And(v(1), v(2))), {tid(1): 0.5, tid(2): 0.5})
         assert got == pytest.approx(0.75, abs=1e-12)
 
-    def test_golden_needs_no_brute_force(self):
+    def test_golden_needs_no_brute_force(self, monkeypatch):
         # one Shannon expansion on t(8), then independence: the root, the
         # high branch, its two conjunctions, their four tuples and FALSE
         phi, p = shared_pair()
-        cfg = InferenceConfig(max_nodes=9)
-        assert prob_exact(phi, p, cfg) == pytest.approx(0.3408, abs=1e-12)
+        monkeypatch.setattr(inference, "MAX_NODES", 9)
+        assert prob_exact(phi, p) == pytest.approx(0.3408, abs=1e-12)
 
-    def test_intractable_formula_raises(self):
+    def test_intractable_formula_raises(self, monkeypatch):
         phi, p = shared_pair()
-        cfg = InferenceConfig(max_nodes=8)
+        monkeypatch.setattr(inference, "MAX_NODES", 8)
         with pytest.raises(IntractableFormulaError) as err:
-            prob_exact(phi, p, cfg)
+            prob_exact(phi, p)
         assert "reached 8 nodes" in str(err.value)
-        assert "max_nodes limit of 8" in str(err.value)
+        assert "MAX_NODES limit of 8" in str(err.value)
+
+    def test_budget_error_names_the_formula_size(self, monkeypatch):
+        # the node that does not fit is a constant left by substitution; the
+        # message names the formula being compiled instead
+        chain = Or(*(And(v(i), v(i + 1)) for i in range(10, 21)))
+        monkeypatch.setattr(inference, "MAX_NODES", 4)
+        with pytest.raises(IntractableFormulaError) as err:
+            compile_probability(chain)
+        assert str(err.value) == (
+            "decomposition of a 12-tuple formula reached 4 nodes, "
+            "the MAX_NODES limit of 4"
+        )
 
     def test_conjunction_of_more_than_twenty_tuples_is_exact(self):
         # 24 tuples, past what world enumeration takes by default; at p = 1/2
@@ -182,10 +194,6 @@ class TestExact:
             sys.setrecursionlimit(limit)
         assert message in str(err.value)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            InferenceConfig(max_nodes=0)
-
     def test_contradictory_conjunction_is_zero(self):
         assert prob_exact(And(v(1), Not(v(1))), {tid(1): 0.4}) == 0.0
         assert prob_exact(Or(v(1), Not(v(1))), {tid(1): 0.4}) == 1.0
@@ -227,9 +235,10 @@ class TestFlatten:
         assert flatten(TRUE) == TRUE
         assert flatten(FALSE) == FALSE
 
-    def test_exhausted_budget_returns_the_input(self):
+    def test_exhausted_budget_returns_the_input(self, monkeypatch):
         phi, _ = shared_pair()
-        assert flatten(phi, InferenceConfig(max_nodes=8)) == phi
+        monkeypatch.setattr(inference, "MAX_NODES", 8)
+        assert flatten(phi) == phi
 
     def test_flat_output_needs_no_expansion_budget(self, monkeypatch):
         rng = np.random.default_rng(7)

@@ -12,7 +12,6 @@ from pdblearn import (
     And,
     DanglingReferenceError,
     FALSE,
-    InferenceConfig,
     IntractableFormulaError,
     Label,
     LearnerConfig,
@@ -36,7 +35,7 @@ from pdblearn import (
     prob_exact,
     tuple_set,
 )
-from pdblearn import learning
+from pdblearn import inference, learning
 from pdblearn.learning import _label_components
 
 from conftest import random_formula, random_pmap, tid
@@ -101,11 +100,11 @@ class TestMse:
         with pytest.raises(ValueError):
             Label(v(1), 0.3, weight=float("inf"))
 
-    def test_intractable_label_is_reported_with_its_index(self):
+    def test_intractable_label_is_reported_with_its_index(self, monkeypatch):
         labels = (Label(v(1), 1.0), Label(Or(And(v(1), v(2)), And(v(2), v(3))), 0.5))
-        cfg = InferenceConfig(max_nodes=4)
+        monkeypatch.setattr(inference, "MAX_NODES", 4)
         with pytest.raises(IntractableFormulaError) as err:
-            mse(labels, {tid(i): 0.5 for i in (1, 2, 3)}, cfg)
+            mse(labels, {tid(i): 0.5 for i in (1, 2, 3)})
         assert "label 1" in str(err.value)
 
 
@@ -217,9 +216,7 @@ class TestPriorAugment:
     def test_zero_data_weight_is_minimized_at_the_prior(self):
         db = two_tuple_db()
         prior = {tid(7): 0.35, tid(8): 0.8}
-        problem = LearningProblem(
-            db, (Label(v(7), 1.0),), prior=prior, prior_weight=0.0
-        )
+        problem = LearningProblem(db, prior_augment((Label(v(7), 1.0),), prior, 0.0))
         out = learn(problem, LearnerConfig(eps_abs=1e-12, eps_rel=0.0, seed=1))
         assert out.probabilities[tid(7)] == pytest.approx(0.35, abs=1e-3)
         assert out.probabilities[tid(8)] == pytest.approx(0.8, abs=1e-3)
@@ -228,7 +225,7 @@ class TestPriorAugment:
         db = ProbabilisticDatabase()
         db.add(tid(7))
         problem = LearningProblem(
-            db, (Label(v(7), 0.2),), prior={tid(7): 0.8}, prior_weight=0.5
+            db, prior_augment((Label(v(7), 0.2),), {tid(7): 0.8}, 0.5)
         )
         out = learn(problem, LearnerConfig(eps_abs=1e-12, eps_rel=0.0, seed=0))
         assert out.probabilities[tid(7)] == pytest.approx(0.5, abs=1e-3)
@@ -238,15 +235,6 @@ class TestPriorAugment:
             prior_augment(PAIR_LABELS, {tid(1): 0.5}, 2.0)
         with pytest.raises(ValueError):
             prior_augment(PAIR_LABELS, {tid(1): 0.5}, -0.5)
-
-    def test_priors_require_mse(self):
-        db = ProbabilisticDatabase()
-        db.add(tid(7))
-        problem = LearningProblem(
-            db, (Label(v(7), 1.0),), prior={tid(7): 0.5}, prior_weight=0.5
-        )
-        with pytest.raises(ValueError):
-            learn(problem, LearnerConfig(objective="logical"))
 
 
 class TestComponents:
@@ -453,7 +441,7 @@ class TestLearn:
                 base.probabilities[t], abs=1e-3
             )
 
-    def test_intractable_label_error_names_the_label(self):
+    def test_intractable_label_error_names_the_label(self, monkeypatch):
         db = ProbabilisticDatabase()
         for i in (1, 2, 3):
             db.add(tid(i))
@@ -466,18 +454,19 @@ class TestLearn:
             ("mse", (Label(v(1), 0.3), Label(chain, 0.2)), "label 1: "),
             ("logical", (Label(v(1), 1.0), Label(chain, 1.0)), "labels [1]: "),
         ]
+        monkeypatch.setattr(inference, "MAX_NODES", 4)
         for objective, labels, where in cases:
-            cfg = LearnerConfig(
-                objective=objective, inference=InferenceConfig(max_nodes=4)
-            )
             with pytest.raises(IntractableFormulaError) as err:
-                learn(LearningProblem(db, labels), cfg)
+                learn(LearningProblem(db, labels), LearnerConfig(objective=objective))
             assert str(err.value).startswith(where), (objective, str(err.value))
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_intractable_label_named_when_compiled_in_a_worker(self, threads):
+    def test_intractable_label_named_when_compiled_in_a_worker(
+        self, threads, monkeypatch
+    ):
         # four components; labels 1 and 2 cannot compile, and with two or
-        # more threads they land in different workers: the first is reported
+        # more threads they land in different workers: the first is reported.
+        # The workers see the lowered budget only because they are forked.
         db = ProbabilisticDatabase()
         for i in range(1, 9):
             db.add(tid(i))
@@ -487,14 +476,11 @@ class TestLearn:
             Label(Or(And(v(5), v(6)), And(v(6), v(7))), 0.5),
             Label(v(8), 0.6),
         )
-        cfg = LearnerConfig(
-            threads=threads,
-            inference=InferenceConfig(max_nodes=4),
-        )
+        monkeypatch.setattr(inference, "MAX_NODES", 4)
         with pytest.raises(IntractableFormulaError) as err:
-            learn(LearningProblem(db, labels), cfg)
+            learn(LearningProblem(db, labels), LearnerConfig(threads=threads))
         assert str(err.value).startswith("label 1: ")
-        assert "reached 4 nodes, the max_nodes limit of 4" in str(err.value)
+        assert "reached 4 nodes, the MAX_NODES limit of 4" in str(err.value)
 
     @pytest.mark.property
     @settings(max_examples=100, derandomize=True, deadline=None)

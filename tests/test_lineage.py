@@ -14,12 +14,11 @@ from pdblearn import (
     Var,
     evaluate,
     format_formula,
-    independent_partition,
     parse_formula,
     substitute,
     tuple_set,
-    tuples_of,
 )
+from pdblearn.lineage import connected_components
 
 from conftest import (
     build_formula,
@@ -114,19 +113,18 @@ class TestCanonicalForms:
 class TestTupleCollection:
     def test_nested_formula_lists_every_tuple_once(self):
         phi = Or(And(v(1), v(5), v(8)), And(v(2), v(6), v(8)))
-        assert tuples_of(phi) == (tid(1), tid(2), tid(5), tid(6), tid(8))
         assert tuple_set(phi) == {tid(1), tid(2), tid(5), tid(6), tid(8)}
 
     def test_constants_have_no_tuples(self):
-        assert tuples_of(TRUE) == ()
-        assert tuples_of(FALSE) == ()
+        assert tuple_set(TRUE) == frozenset()
+        assert tuple_set(FALSE) == frozenset()
 
     def test_contradiction_still_reports_its_tuple(self):
-        assert tuples_of(And(v(7), Not(v(7)))) == (tid(7),)
+        assert tuple_set(And(v(7), Not(v(7)))) == {tid(7)}
 
     def test_order_is_sorted_and_deduplicated(self):
         phi = Or(v(3), And(v(1), v(3)), Not(v(2)))
-        assert tuples_of(phi) == (tid(1), tid(2), tid(3))
+        assert sorted(tuple_set(phi)) == [tid(1), tid(2), tid(3)]
 
 
 class TestEvaluate:
@@ -195,17 +193,22 @@ class TestSubstitute:
 
 
 class TestIndependentPartition:
+    """Formulas fall into the groups that inference treats as independent."""
+
+    def groups(self, *parts):
+        return connected_components([tuple_set(part) for part in parts])
+
     def test_disjoint_tuple_sets_are_independent(self):
-        assert independent_partition([And(v(1), v(5)), And(v(2), v(6))]) is True
+        assert self.groups(And(v(1), v(5)), And(v(2), v(6))) == [[0], [1]]
 
     def test_shared_tuple_breaks_independence(self):
-        assert independent_partition([And(v(1), v(8)), And(v(2), v(8))]) is False
+        assert self.groups(And(v(1), v(8)), And(v(2), v(8))) == [[0, 1]]
 
     def test_single_part_is_trivially_independent(self):
-        assert independent_partition([v(1)]) is True
+        assert self.groups(v(1)) == [[0]]
 
     def test_constants_share_nothing(self):
-        assert independent_partition([TRUE, v(1), FALSE]) is True
+        assert self.groups(TRUE, v(1), FALSE) == [[0], [1], [2]]
 
 
 class TestParsing:
