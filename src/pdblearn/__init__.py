@@ -40,7 +40,6 @@ from .errors import (
 from .inference import (
     compile_probability,
     derivative,
-    flatten,
     prob_bruteforce,
     prob_exact,
 )

@@ -319,17 +319,15 @@ class RecoverResult:
 def recover_missing(
     db: ProbabilisticDatabase,
     observations: Sequence[LineageFormula],
-    missing: Sequence[TupleId] | None = None,
     cfg: LearnerConfig | None = None,
 ) -> RecoverResult:
     """Estimate probabilities of suspected-missing tuples from held facts.
 
-    Every observation formula is labeled with target 1; only the ``missing``
-    tuples (default: the database's learnable set) are adjusted.
+    Every observation formula is labeled with target 1; only the database's
+    learnable tuples, the suspected-missing ones, are adjusted.
     """
-    chosen = frozenset(missing) if missing is not None else db.learnable
     labels = tuple(Label(phi, 1.0) for phi in observations)
-    problem = LearningProblem(db, labels, learnable=chosen)
+    problem = LearningProblem(db, labels)
     result = learn(problem, cfg or LearnerConfig())
     return RecoverResult(
         db=db.with_probabilities(result.probabilities),
@@ -391,18 +389,17 @@ def solve_3sat(
     n_vars: int,
     restarts: int = 20,
     seed: int = 0,
-    eps_abs: float = 1e-6,
     max_outer_iterations: int = 10000,
 ) -> SatResult:
-    """Search for a satisfying assignment by minimizing the encoded error."""
+    """Search for a satisfying assignment by minimizing the encoded error.
+
+    A restart stops when the error reaches ``LearnerConfig``'s default
+    ``eps_abs`` of 1e-6.
+    """
     db, labels = encode_3sat(clauses, n_vars)
     problem = LearningProblem(db, labels)
     best_run, used = _best_restart(
-        problem,
-        seed,
-        restarts,
-        eps_abs=eps_abs,
-        max_outer_iterations=max_outer_iterations,
+        problem, seed, restarts, max_outer_iterations=max_outer_iterations
     )
     assignment = {
         i: best_run.probabilities[TupleId.synthetic(i)] >= 0.5

@@ -8,7 +8,7 @@ value, which then serves as their current estimate or prior.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ArityError, MissingProbabilityError
 from .lineage import TupleId

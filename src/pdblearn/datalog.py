@@ -1,6 +1,7 @@
 """Safe non-recursive Datalog with lineage-producing grounding.
 
-Rule syntax, one rule per line, ``%`` starts a comment::
+Rule syntax, one rule per line; a ``%`` outside a double-quoted string starts
+a comment that runs to the end of the line::
 
     WonPrize(S, O) :- WonPrizeExtraction(S, O, Pid, Did), UsingPattern(Pid, P), FromDomain(Did, D).
     Conflict(X) :- Claim(X, V1), Claim(X, V2), V1 != V2, !Retracted(X).
@@ -42,7 +43,7 @@ A negated literal is fully bound, so it looks its row up by its arguments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .database import ProbabilisticDatabase
@@ -278,11 +279,15 @@ def _check_safety(rule: DeductionRule, line_no: int | None = None):
         )
 
 
+# a line's text before its comment: quoted strings may hold a ``%``
+_BEFORE_COMMENT = re.compile(r'(?:[^"%]|"(?:\\.|[^"\\])*"?)*')
+
+
 def parse_program(text: str) -> DeductionProgram:
     """Parse a rule file: one rule per line, ``%`` comments, blank lines ignored."""
     rules = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
+        line = _BEFORE_COMMENT.match(raw).group(0).strip()
         if not line:
             continue
         rules.append(parse_rule(line, line_no))

@@ -24,10 +24,11 @@ component caching (Sang et al., SAT 2004).  ``MAX_NODES`` bounds the number
 of distinct nodes one call decides, and a formula that needs more raises
 ``IntractableFormulaError`` naming its size and the count, so a hard formula
 fails after a bounded amount of work instead of enumerating worlds.
-``compile_probability`` has the routine build a closure per node; the root
-closure evaluates P(phi) from any probability map, computing each node once.
-``prob_exact`` compiles and calls it once.  ``flatten`` has the same routine
-build formulas instead, turning each Shannon step into a disjoint-or.
+The routine builds one closure per node, the only compiled form of a
+formula: ``compile_probability`` returns the root closure, which evaluates
+P(phi) from any probability map and computes each node once per call, and
+``prob_exact`` compiles and calls it once.  ``derivative`` compiles the two
+pinned formulas.
 
 Memoization is call-local on canonical subformulas.
 """
@@ -45,8 +46,6 @@ from .errors import (
     MissingProbabilityError,
 )
 from .lineage import (
-    FALSE,
-    TRUE,
     And,
     Constant,
     LineageFormula,
@@ -64,7 +63,6 @@ __all__ = [
     "prob_bruteforce",
     "prob_exact",
     "derivative",
-    "flatten",
     "compile_probability",
 ]
 
@@ -160,16 +158,15 @@ def _shannon_tuple(children: Sequence[LineageFormula]) -> TupleId:
     return min(t for t, c in counts.items() if c == top)
 
 
-def _decompose(phi: LineageFormula, emit):
-    """Decompose phi by the rules above, building one node per subformula.
+def _decompose(phi: LineageFormula):
+    """Compile phi by the rules above into one :class:`_Closures` node each.
 
-    ``emit`` supplies the node constructors (:class:`_Closures` or
-    :class:`_Formulas`).  The first pass decides the rule for each canonical
-    subformula once, so a subformula reached twice is decomposed once and
-    counts once against ``MAX_NODES``, read at each call; needing one node more
-    raises IntractableFormulaError.  The second pass builds the nodes, children
-    first, and routes each node reached from more than one parent through
-    ``emit.shared``, so that one evaluation computes it once.
+    The first pass decides the rule for each canonical subformula once, so a
+    subformula reached twice is decomposed once and counts once against
+    ``MAX_NODES``, read at each call; needing one node more raises
+    IntractableFormulaError.  The second pass builds the closures, children
+    first, and routes each one reached from more than one parent through
+    ``_Closures.shared``, so that one evaluation computes it once.
     """
     steps: dict = {}  # subformula -> (constructor, argument, subformulas)
     parents: dict = {}
@@ -186,24 +183,25 @@ def _decompose(phi: LineageFormula, emit):
             )
         parents[phi] = 1
         if isinstance(phi, Constant):
-            step = (emit.const, phi.value, ())
+            step = (_Closures.const, phi.value, ())
         elif isinstance(phi, Var):
-            step = (emit.leaf, phi.tuple_id, ())
+            step = (_Closures.leaf, phi.tuple_id, ())
         elif isinstance(phi, Not):
-            step = (emit.neg, None, (phi.child,))
+            step = (_Closures.neg, None, (phi.child,))
         else:
             children = phi.children
             groups = connected_components([c._tuples for c in children])
             if len(groups) > 1:
                 op = And if isinstance(phi, And) else Or
                 parts = [op(*(children[i] for i in g)) for g in groups]
-                step = (emit.indep_and if op is And else emit.indep_or, None, parts)
+                make = _Closures.indep_and if op is And else _Closures.indep_or
+                step = (make, None, parts)
             elif isinstance(phi, Or) and _pairwise_event_disjoint(children):
-                step = (emit.disjoint_or, None, children)
+                step = (_Closures.disjoint_or, None, children)
             else:
                 t = _shannon_tuple(children)
                 branches = (substitute(phi, t, True), substitute(phi, t, False))
-                step = (emit.shannon, t, branches)
+                step = (_Closures.shannon, t, branches)
         for sub in step[2]:
             plan(sub)
         steps[phi] = step
@@ -218,7 +216,7 @@ def _decompose(phi: LineageFormula, emit):
     epoch = [0]  # counts evaluations; a shared node's value is valid for one
     for sub, (make, arg, subs) in steps.items():
         node = make(arg, tuple(map(nodes.__getitem__, subs)))
-        nodes[sub] = emit.shared(node, epoch) if parents[sub] > 1 else node
+        nodes[sub] = _Closures.shared(node, epoch) if parents[sub] > 1 else node
     if max(parents.values()) == 1:
         return nodes[phi]
     calls: dict = {}  # longest chain of nested calls one evaluation makes
@@ -229,7 +227,7 @@ def _decompose(phi: LineageFormula, emit):
             f"{len(parents)} nodes nest {calls[phi]} calls deep, past half the "
             "recursion limit"
         )
-    return emit.root(nodes[phi], epoch)
+    return _Closures.root(nodes[phi], epoch)
 
 
 class _Closures:
@@ -315,20 +313,6 @@ class _Closures:
         return fn
 
 
-class _Formulas:
-    """Nodes as formulas: Shannon steps become ``(t & high) | (!t & low)``."""
-
-    const = staticmethod(lambda value, _: TRUE if value else FALSE)
-    leaf = staticmethod(lambda t, _: Var(t))
-    neg = staticmethod(lambda _, kids: Not(kids[0]))
-    indep_and = staticmethod(lambda _, parts: And(*parts))
-    indep_or = disjoint_or = staticmethod(lambda _, parts: Or(*parts))
-    shannon = staticmethod(
-        lambda t, kids: Or(And(Var(t), kids[0]), And(Not(Var(t)), kids[1]))
-    )
-    shared = root = staticmethod(lambda node, epoch: node)
-
-
 def compile_probability(
     phi: LineageFormula,
 ) -> Callable[[Mapping[TupleId, float]], float]:
@@ -340,7 +324,7 @@ def compile_probability(
     exact partial derivative as the difference.  Shared nodes keep the value
     of the current call, so one closure must not run in two threads at once.
     """
-    return _decompose(phi, _Closures)
+    return _decompose(phi)
 
 
 def prob_exact(phi: LineageFormula, p: Mapping[TupleId, float]) -> float:
@@ -365,16 +349,3 @@ def derivative(
     high = prob_exact(substitute(phi, tuple_id, True), p)
     low = prob_exact(substitute(phi, tuple_id, False), p)
     return high - low
-
-
-def flatten(phi: LineageFormula) -> LineageFormula:
-    """Rewrite phi into an equivalent form needing no Shannon expansions.
-
-    Shannon steps are materialized as ``(t & phi[t:=true]) | (!t & phi[t:=false])``,
-    which the decomposition rules handle directly.  When the node budget runs
-    out, phi is returned unchanged.
-    """
-    try:
-        return _decompose(phi, _Formulas)
-    except IntractableFormulaError:
-        return phi

@@ -86,12 +86,29 @@ def load_tuples(path) -> ProbabilisticDatabase:
     return db
 
 
+def _row(t: TupleId, last: str) -> str:
+    """The tab-separated row of ``t`` with ``last`` as its final column.
+
+    Raises ValueError for an argument that would not read back as itself: a
+    str that reads as an int, or text that holds a tab or a line break.
+    """
+    for value in t.key:
+        if isinstance(value, str) and (
+            parse_arg_token(value) != value
+            or "\t" in value
+            or value.splitlines() not in ([], [value])
+        ):
+            raise ValueError(
+                f"tuple {t}: argument {value!r} would not read back as itself"
+            )
+    return "\t".join([t.relation, *map(str, t.key), last]) + "\n"
+
+
 def tuples_text(db: ProbabilisticDatabase) -> str:
-    lines = []
-    for t in db:
-        last = f"{db.probability(t):.17g}" if db.has_probability(t) else "?"
-        lines.append("\t".join([t.relation, *map(str, t.key), last]))
-    return "".join(line + "\n" for line in lines)
+    return "".join(
+        _row(t, f"{db.probability(t):.17g}" if db.has_probability(t) else "?")
+        for t in db
+    )
 
 
 def save_tuples(db: ProbabilisticDatabase, path) -> None:
@@ -186,11 +203,7 @@ def load_probabilities(path) -> dict:
 
 
 def probabilities_text(probabilities: Mapping[TupleId, float]) -> str:
-    lines = [
-        "\t".join([t.relation, *map(str, t.key), f"{probabilities[t]:.17g}"])
-        for t in sorted(probabilities)
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(_row(t, f"{probabilities[t]:.17g}") for t in sorted(probabilities))
 
 
 def save_probabilities(probabilities: Mapping[TupleId, float], path) -> None:

@@ -52,7 +52,7 @@ import gc
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import multiprocessing
 import numpy as np
@@ -202,15 +202,8 @@ def _effective_weights(labels: Sequence[Label]) -> list:
     return [lab.weight if lab.weight is not None else 1.0 / n for lab in labels]
 
 
-def _check_targets(labels: Sequence[Label]):
-    for i, lab in enumerate(labels):
-        if not 0.0 <= lab.target <= 1.0:
-            raise ValueError(f"label {i} target {lab.target} outside [0, 1]")
-
-
 def mse(labels: Sequence[Label], p: Mapping[TupleId, float]) -> float:
     """Weighted mean squared error of the labels under probability map p."""
-    _check_targets(labels)
     if not labels:
         return 0.0
     weights = _effective_weights(labels)
@@ -228,7 +221,6 @@ def mse_gradient(
     labels: Sequence[Label], p: Mapping[TupleId, float], tuple_id: TupleId
 ) -> float:
     """Partial derivative of :func:`mse` with respect to p(tuple_id)."""
-    _check_targets(labels)
     if not labels:
         return 0.0
     weights = _effective_weights(labels)
@@ -653,7 +645,6 @@ def _validate_problem(labels, learnable, known: frozenset):
         raise DanglingReferenceError(
             f"learnable tuple(s) not in the database: {sorted(missing)[:3]}"
         )
-    _check_targets(labels)
     for i, lab in enumerate(labels):
         unknown = tuple_set(lab.formula) - known
         if unknown:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParseError
 
@@ -147,9 +147,23 @@ def parse_arg_token(token: str):
 
 
 class LineageFormula:
-    """Base class of all formula nodes.  Use the subclasses as constructors."""
+    """Base class of all formula nodes.  Use the subclasses as constructors.
 
-    __hash__ = None  # subclasses set a cached structural hash
+    Every node caches ``_hash`` and ``_skey``.  The key encodes the node's
+    kind and its whole subtree, so equal keys mean equal formulas.
+    """
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return (
+            isinstance(other, LineageFormula)
+            and self._hash == other._hash
+            and self._skey == other._skey
+        )
 
     def __and__(self, other: "LineageFormula") -> "LineageFormula":
         return And(self, other)
@@ -185,12 +199,6 @@ class Constant(LineageFormula):
         self._skey = (4, self.value)
         self._hash = hash(("lineage-const", self.value))
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other
-
     def __reduce__(self):
         return (Constant, (self.value,))
 
@@ -211,14 +219,6 @@ class Var(LineageFormula):
         self._skey = (0, tuple_id.sort_key)
         self._hash = hash(("lineage-var", tuple_id))
         return self
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Var) and self.tuple_id == other.tuple_id
 
     def __reduce__(self):
         return (Var, (self.tuple_id,))
@@ -241,110 +241,57 @@ class Not(LineageFormula):
         self._hash = hash(("lineage-not", child._hash))
         return self
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Not) and self._hash == other._hash and self.child == other.child
-
     def __reduce__(self):
         return (Not, (self.child,))
 
 
-def _gather(children, kind, absorbing, identity):
-    """Flatten nested nodes of the same kind, fold constants, dedup.
+class _NAry(LineageFormula):
+    """The constructor And and Or share.
 
-    Returns either the absorbing constant or the sorted child tuple.  Keeps
-    complementary literals as they are: x & !x stays a conjunction (so its
-    tuple set is preserved), only constants are folded away.
+    Flattens nested nodes of the same kind, folds constants, drops repeated
+    children and sorts the rest by ``_skey``.  Keeps complementary literals
+    as they are: x & !x stays a conjunction (so its tuple set is preserved),
+    only constants are folded away.
     """
-    seen = {}
-    for child in children:
-        stack = [child]
-        while stack:
-            c = stack.pop()
-            if c is absorbing:
-                return absorbing
-            if c is identity:
-                continue
-            if isinstance(c, kind):
-                stack.extend(c.children)
-                continue
-            if c._hash in seen and any(c == s for s in seen[c._hash]):
-                continue
-            seen.setdefault(c._hash, []).append(c)
-    flat = [c for group in seen.values() for c in group]
-    flat.sort(key=lambda c: c._skey)
-    return tuple(flat)
+
+    def __new__(cls, *children: LineageFormula):
+        seen = {}  # the first of equal children, in order of appearance
+        for child in children:
+            stack = [child]
+            while stack:
+                c = stack.pop()
+                if c is cls._absorbing:
+                    return c
+                if c is cls._identity:
+                    continue
+                if isinstance(c, cls):
+                    stack.extend(c.children)
+                    continue
+                seen.setdefault(c)
+        if len(seen) < 2:
+            return next(iter(seen), cls._identity)
+        flat = tuple(sorted(seen, key=lambda c: c._skey))
+        self = object.__new__(cls)
+        self.children = flat
+        self._tuples = frozenset().union(*(c._tuples for c in flat))
+        self._skey = (cls._kind, tuple(c._skey for c in flat))
+        self._hash = hash((cls._tag,) + tuple(c._hash for c in flat))
+        return self
+
+    def __reduce__(self):
+        return (type(self), self.children)
 
 
-class And(LineageFormula):
+class And(_NAry):
     """Conjunction; canonical n-ary node with sorted, deduplicated children."""
 
-    def __new__(cls, *children: LineageFormula):
-        gathered = _gather(children, And, FALSE, TRUE)
-        if gathered is FALSE:
-            return FALSE
-        if not gathered:
-            return TRUE
-        if len(gathered) == 1:
-            return gathered[0]
-        self = object.__new__(cls)
-        self.children = gathered
-        self._tuples = frozenset().union(*(c._tuples for c in gathered))
-        self._skey = (2, tuple(c._skey for c in gathered))
-        self._hash = hash(("lineage-and",) + tuple(c._hash for c in gathered))
-        return self
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, And)
-            and self._hash == other._hash
-            and self.children == other.children
-        )
-
-    def __reduce__(self):
-        return (And, tuple(self.children))
+    _kind, _tag, _absorbing, _identity = 2, "lineage-and", FALSE, TRUE
 
 
-class Or(LineageFormula):
+class Or(_NAry):
     """Disjunction; canonical n-ary node with sorted, deduplicated children."""
 
-    def __new__(cls, *children: LineageFormula):
-        gathered = _gather(children, Or, TRUE, FALSE)
-        if gathered is TRUE:
-            return TRUE
-        if not gathered:
-            return FALSE
-        if len(gathered) == 1:
-            return gathered[0]
-        self = object.__new__(cls)
-        self.children = gathered
-        self._tuples = frozenset().union(*(c._tuples for c in gathered))
-        self._skey = (3, tuple(c._skey for c in gathered))
-        self._hash = hash(("lineage-or",) + tuple(c._hash for c in gathered))
-        return self
-
-    __hash__ = And.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Or)
-            and self._hash == other._hash
-            and self.children == other.children
-        )
-
-    def __reduce__(self):
-        return (Or, tuple(self.children))
+    _kind, _tag, _absorbing, _identity = 3, "lineage-or", TRUE, FALSE
 
 
 def tuple_set(phi: LineageFormula) -> frozenset:

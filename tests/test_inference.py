@@ -1,4 +1,4 @@
-"""Exact marginal computation, derivatives, and formula flattening."""
+"""Exact marginal computation, derivatives, and compiled closures."""
 
 import inspect
 import sys
@@ -21,8 +21,6 @@ from pdblearn import (
     compile_probability,
     derivative,
     encode_3sat,
-    evaluate,
-    flatten,
     logical_conjunction,
     prob_bruteforce,
     prob_exact,
@@ -33,15 +31,7 @@ from pdblearn import (
 )
 from pdblearn import inference
 
-from conftest import (
-    build_formula,
-    random_formula,
-    random_pmap,
-    recipe_vars,
-    recipes,
-    tid,
-    worlds_over,
-)
+from conftest import build_formula, random_pmap, recipes, tid
 
 
 def v(i):
@@ -219,44 +209,6 @@ class TestDerivative:
         assert got == pytest.approx(-1.0, abs=1e-15)
 
 
-class TestFlatten:
-    def test_shared_tuple_disjunction_factors(self):
-        phi, _ = shared_pair()
-        small = Or(And(v(1), v(8)), And(v(2), v(8)))
-        assert flatten(small) == And(v(8), Or(v(1), v(2)))
-        flat = flatten(phi)
-        assert flat == And(v(8), Or(And(v(1), v(5)), And(v(2), v(6))))
-
-    def test_decomposable_formula_is_unchanged(self):
-        phi = Or(v(1), v(2))
-        assert flatten(phi) == phi
-
-    def test_constants_pass_through(self):
-        assert flatten(TRUE) == TRUE
-        assert flatten(FALSE) == FALSE
-
-    def test_exhausted_budget_returns_the_input(self, monkeypatch):
-        phi, _ = shared_pair()
-        monkeypatch.setattr(inference, "MAX_NODES", 8)
-        assert flatten(phi) == phi
-
-    def test_flat_output_needs_no_expansion_budget(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        flats = []
-        for _ in range(25):
-            phi = random_formula(rng, 6)
-            flats.append((phi, flatten(phi)))
-
-        def no_shannon(*args):
-            raise AssertionError("flattened formula needed a Shannon expansion")
-
-        monkeypatch.setattr(inference._Closures, "shannon", staticmethod(no_shannon))
-        for phi, flat in flats:
-            p = random_pmap(phi, rng)
-            want = prob_bruteforce(phi, p) if tuple_set(phi) else prob_exact(phi, p)
-            assert prob_exact(flat, p) == pytest.approx(want, abs=1e-9)
-
-
 class TestCompile:
     def test_compiled_closure_matches_interpreter(self):
         phi, p = shared_pair()
@@ -344,17 +296,6 @@ def test_pinning_decomposes_the_marginal(recipe, seed):
 
 @pytest.mark.property
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(recipes(max_vars=8, max_leaves=10))
-def test_flatten_preserves_the_boolean_function(recipe):
-    phi = build_formula(recipe)
-    flat = flatten(phi)
-    ids = sorted(recipe_vars(recipe))
-    for world in worlds_over([tid(i) for i in ids]):
-        assert evaluate(flat, world) == evaluate(phi, world)
-
-
-@pytest.mark.property
-@settings(max_examples=100, derandomize=True, deadline=None)
 @given(recipes(max_vars=8, max_leaves=10), st.integers(0, 2**31 - 1))
 def test_compiled_closure_agrees_with_interpreter(recipe, seed):
     phi = build_formula(recipe)
@@ -362,3 +303,18 @@ def test_compiled_closure_agrees_with_interpreter(recipe, seed):
     assert compile_probability(phi)(p) == pytest.approx(
         prob_bruteforce(phi, p), abs=1e-12
     )
+
+
+@pytest.mark.property
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(4, 8), st.integers(3, 14), st.integers(0, 2**31 - 1))
+def test_one_closure_serves_successive_maps(n_vars, n_clauses, seed):
+    # Shannon branches of a 3-CNF conjunction share subformulas, whose cached
+    # values must be recomputed on every call of the closure
+    cnf = random_3sat(n_vars, n_clauses, seed=seed)
+    phi = And(*(Or(*(v(l) if l > 0 else Not(v(-l)) for l in c)) for c in cnf))
+    fn = compile_probability(phi)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        p = random_pmap(phi, rng)
+        assert fn(p) == pytest.approx(prob_bruteforce(phi, p), abs=1e-12)

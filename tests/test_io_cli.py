@@ -105,6 +105,27 @@ class TestTuplesFiles:
         with pytest.raises(ParseError):
             load_tuples(path)
 
+    def test_arguments_that_would_not_read_back_are_refused(self, tmp_path):
+        # "12" would read back as the int 12; a tab or a line break would
+        # split the row
+        for key in (("12",), ("-3",), ("a\tb",), ("a\nb",), ("a\rb",)):
+            t = TupleId("r", key)
+            db = ProbabilisticDatabase()
+            db.add(t, 0.5)
+            with pytest.raises(ValueError) as err:
+                save_tuples(db, tmp_path / "tuples.tsv")
+            assert str(t) in str(err.value)
+            with pytest.raises(ValueError) as err:
+                save_probabilities({t: 0.5}, tmp_path / "probabilities.tsv")
+            assert str(t) in str(err.value)
+        db = ProbabilisticDatabase()
+        t = TupleId("r", (12, "12a", "a b", ""))
+        db.add(t, 0.5)
+        save_tuples(db, tmp_path / "tuples.tsv")
+        assert load_tuples(tmp_path / "tuples.tsv").tuples == {t}
+        save_probabilities({t: 0.5}, tmp_path / "probabilities.tsv")
+        assert load_probabilities(tmp_path / "probabilities.tsv") == {t: 0.5}
+
 
 class TestRulesAndLabelFiles:
     def test_rules_round_trip(self, tmp_path):
@@ -296,15 +317,25 @@ class TestRoundTripProperties:
     @_file_settings
     @given(data=st.data())
     def test_rules_file_round_trip(self, data, tmp_path):
-        lines = []
+        lines, words = [], []
         for i in range(data.draw(st.integers(1, 4))):
             body = [f"t(X, {data.draw(st.integers(0, 9))})"]
             if data.draw(st.booleans()):
                 body.append("!u(X)")
             if data.draw(st.booleans()):
                 body.append(f"X < {data.draw(st.integers(-5, 20))}")
-            lines.append(f"q{i}(X) :- {', '.join(body)}.")
+            if data.draw(st.booleans()):
+                # a % inside a quoted constant does not start a comment
+                words.append(data.draw(st.sampled_from(["50%", "a b", 'say "hi" %', "%"])))
+                quoted = words[-1].replace('"', '\\"')
+                body.append(f's(X, "{quoted}")')
+            lines.append(f"q{i}(X) :- {', '.join(body)}. % q{i}")
         program = parse_program("\n".join(lines))
+        constants = [
+            lit.args[1] for rule in program.rules for lit in rule.positive
+            if lit.relation == "s"
+        ]
+        assert constants == words
         path = tmp_path / "rules.dl"
         save_rules(program, path)
         assert load_rules(path) == program
