@@ -62,13 +62,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _add_learn_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps-abs", type=float, default=1e-6, help="absolute stop tolerance")
-    p.add_argument("--eps-rel", type=float, default=1e-4, help="relative stop tolerance")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--objective", choices=OBJECTIVES, default="mse")
-    p.add_argument("--optimizer", choices=OPTIMIZERS, default="sgd-per-tuple")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--max-iterations", type=int, default=10000)
+    d = LearnerConfig()
+    p.add_argument("--eps-abs", type=float, default=d.eps_abs, help="absolute stop tolerance")
+    p.add_argument("--eps-rel", type=float, default=d.eps_rel, help="relative stop tolerance")
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--objective", choices=OBJECTIVES, default=d.objective)
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default=d.optimizer)
+    p.add_argument("--threads", type=int, default=d.threads)
+    p.add_argument("--max-iterations", type=int, default=d.max_outer_iterations)
     p.add_argument("--trace", metavar="CSV", help="write the convergence trace here")
 
 

@@ -81,9 +81,6 @@ class ProbabilisticDatabase:
             raise KeyError(relation)
         return self._arity[relation]
 
-    def relation_tuples(self, relation: str) -> tuple:
-        return tuple(t for t in sorted(self._tuples) if t.relation == relation)
-
     def has_probability(self, tuple_id: TupleId) -> bool:
         return tuple_id in self._prob
 

@@ -24,18 +24,18 @@ component caching (Sang et al., SAT 2004).  ``MAX_NODES`` bounds the number
 of distinct nodes one call decides, and a formula that needs more raises
 ``IntractableFormulaError`` naming its size and the count, so a hard formula
 fails after a bounded amount of work instead of enumerating worlds.
-The routine builds one closure per node, the only compiled form of a
-formula: ``compile_probability`` returns the root closure, which evaluates
-P(phi) from any probability map and computes each node once per call, and
-``prob_exact`` compiles and calls it once.  ``derivative`` compiles the two
-pinned formulas.
+The routine emits one operation per node, children first, into a flat list,
+the only compiled form of a formula (a circuit, as in Darwiche, JACM 2003).
+``compile_probability`` returns a callable that runs the list once over a
+probability map, computing each node once in one loop, and ``prob_exact``
+compiles and calls it once.  ``derivative`` compiles the two pinned formulas.
 
 Memoization is call-local on canonical subformulas.
 """
 
 from __future__ import annotations
 
-import sys
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -158,173 +158,109 @@ def _shannon_tuple(children: Sequence[LineageFormula]) -> TupleId:
     return min(t for t, c in counts.items() if c == top)
 
 
-def _decompose(phi: LineageFormula):
-    """Compile phi by the rules above into one :class:`_Closures` node each.
+# operation codes; each operation is (code, tuple or constant, child indices)
+_CONST, _LEAF, _NEG, _AND, _OR, _DISJOINT, _SHANNON = range(7)
 
-    The first pass decides the rule for each canonical subformula once, so a
-    subformula reached twice is decomposed once and counts once against
+
+def _decompose(phi: LineageFormula) -> tuple:
+    """Compile phi by the rules above into a post-order tuple of operations.
+
+    Each distinct canonical subformula is decided once and becomes one
+    operation ``(code, argument, children)``: the argument is a TupleId or a
+    constant, and the children are the indices of earlier operations.  A
+    subformula reached twice is one operation and counts once against
     ``MAX_NODES``, read at each call; needing one node more raises
-    IntractableFormulaError.  The second pass builds the closures, children
-    first, and routes each one reached from more than one parent through
-    ``_Closures.shared``, so that one evaluation computes it once.
+    IntractableFormulaError.  The root is the last operation.
     """
-    steps: dict = {}  # subformula -> (constructor, argument, subformulas)
-    parents: dict = {}
+    ops: list = []
+    index: dict = {}  # subformula -> its operation, None while being planned
     limit, size = MAX_NODES, len(phi._tuples)
 
     def plan(phi):
-        if phi in parents:
-            parents[phi] += 1
-            return
-        if len(parents) == limit:
+        if phi in index:
+            return index[phi]
+        if len(index) == limit:
             raise IntractableFormulaError(
                 f"decomposition of a {size}-tuple formula reached "
                 f"{limit} nodes, the MAX_NODES limit of {limit}"
             )
-        parents[phi] = 1
+        index[phi] = None
         if isinstance(phi, Constant):
-            step = (_Closures.const, phi.value, ())
+            code, arg, subs = _CONST, 1.0 if phi.value else 0.0, ()
         elif isinstance(phi, Var):
-            step = (_Closures.leaf, phi.tuple_id, ())
+            code, arg, subs = _LEAF, phi.tuple_id, ()
         elif isinstance(phi, Not):
-            step = (_Closures.neg, None, (phi.child,))
+            code, arg, subs = _NEG, None, (phi.child,)
         else:
             children = phi.children
             groups = connected_components([c._tuples for c in children])
             if len(groups) > 1:
-                op = And if isinstance(phi, And) else Or
-                parts = [op(*(children[i] for i in g)) for g in groups]
-                make = _Closures.indep_and if op is And else _Closures.indep_or
-                step = (make, None, parts)
+                op, code = (And, _AND) if isinstance(phi, And) else (Or, _OR)
+                arg, subs = None, [op(*(children[i] for i in g)) for g in groups]
             elif isinstance(phi, Or) and _pairwise_event_disjoint(children):
-                step = (_Closures.disjoint_or, None, children)
+                code, arg, subs = _DISJOINT, None, children
             else:
                 t = _shannon_tuple(children)
-                branches = (substitute(phi, t, True), substitute(phi, t, False))
-                step = (_Closures.shannon, t, branches)
-        for sub in step[2]:
-            plan(sub)
-        steps[phi] = step
+                code, arg = _SHANNON, t
+                subs = (substitute(phi, t, True), substitute(phi, t, False))
+        kids = []
+        for sub in subs:
+            kids.append(plan(sub))
+        at = index[phi] = len(ops)
+        ops.append((code, arg, tuple(kids)))
+        return at
 
     try:
         plan(phi)
     except RecursionError:
         raise IntractableFormulaError(
-            f"decomposition nested too deep after {len(parents)} nodes"
+            f"decomposition nested too deep after {len(index)} nodes"
         ) from None
-    nodes: dict = {}
-    epoch = [0]  # counts evaluations; a shared node's value is valid for one
-    for sub, (make, arg, subs) in steps.items():
-        node = make(arg, tuple(map(nodes.__getitem__, subs)))
-        nodes[sub] = _Closures.shared(node, epoch) if parents[sub] > 1 else node
-    if max(parents.values()) == 1:
-        return nodes[phi]
-    calls: dict = {}  # longest chain of nested calls one evaluation makes
-    for sub, (_, _, subs) in steps.items():
-        calls[sub] = max((calls[s] for s in subs), default=0) + 1 + (parents[sub] > 1)
-    if calls[phi] > sys.getrecursionlimit() // 2:
-        raise IntractableFormulaError(
-            f"{len(parents)} nodes nest {calls[phi]} calls deep, past half the "
-            "recursion limit"
-        )
-    return _Closures.root(nodes[phi], epoch)
+    return tuple(ops)
 
 
-class _Closures:
-    """Nodes as closures that evaluate P from a probability map."""
-
-    @staticmethod
-    def const(value, _):
-        def fn(p, _v=1.0 if value else 0.0):
-            return _v
-
-        return fn
-
-    @staticmethod
-    def leaf(t, _):
-        def fn(p, _t=t):
-            return p[_t]
-
-        return fn
-
-    @staticmethod
-    def neg(_, kids):
-        def fn(p, _c=kids[0]):
-            return 1.0 - _c(p)
-
-        return fn
-
-    @staticmethod
-    def indep_and(_, parts):
-        def fn(p, _parts=tuple(parts)):
+def _run(ops: tuple, p: Mapping[TupleId, float]) -> float:
+    """P of the compiled formula under ``p``, computing each operation once."""
+    vals: list = []
+    for code, arg, kids in ops:  # the most frequent codes are tested first
+        if code == _LEAF:
+            out = p[arg]
+        elif code == _SHANNON:
+            x = p[arg]
+            out = x * vals[kids[0]] + (1.0 - x) * vals[kids[1]]
+        elif code == _AND:
             out = 1.0
-            for part in _parts:
-                out *= part(p)
-            return out
-
-        return fn
-
-    @staticmethod
-    def indep_or(_, parts):
-        def fn(p, _parts=tuple(parts)):
+            for k in kids:
+                out *= vals[k]
+        elif code == _OR:
             out = 1.0
-            for part in _parts:
-                out *= 1.0 - part(p)
-            return 1.0 - out
-
-        return fn
-
-    @staticmethod
-    def disjoint_or(_, parts):
-        def fn(p, _parts=tuple(parts)):
+            for k in kids:
+                out *= 1.0 - vals[k]
+            out = 1.0 - out
+        elif code == _DISJOINT:
             out = 0.0
-            for part in _parts:
-                out += part(p)
-            return out
-
-        return fn
-
-    @staticmethod
-    def shannon(t, kids):
-        def fn(p, _t=t, _hi=kids[0], _lo=kids[1]):
-            x = p[_t]
-            return x * _hi(p) + (1.0 - x) * _lo(p)
-
-        return fn
-
-    @staticmethod
-    def shared(node, epoch):
-        cell = [-1, 0.0]  # (evaluation, value)
-
-        def fn(p, _node=node, _cell=cell, _epoch=epoch):
-            if _cell[0] != _epoch[0]:
-                _cell[1] = _node(p)
-                _cell[0] = _epoch[0]
-            return _cell[1]
-
-        return fn
-
-    @staticmethod
-    def root(node, epoch):
-        def fn(p, _node=node, _epoch=epoch):
-            _epoch[0] += 1
-            return _node(p)
-
-        return fn
+            for k in kids:
+                out += vals[k]
+        elif code == _NEG:
+            out = 1.0 - vals[kids[0]]
+        else:
+            out = arg
+        vals.append(out)
+    return out  # the root's value: it is the last operation
 
 
 def compile_probability(
     phi: LineageFormula,
 ) -> Callable[[Mapping[TupleId, float]], float]:
-    """Compile P(phi) into a closure for repeated evaluation.
+    """Compile P(phi) into a callable for repeated evaluation.
 
-    The closure evaluates the multilinear polynomial directly from a
-    probability map; missing tuples surface as KeyError.  Because P is
-    multilinear, calling the closure with p(t) pinned to 0 and 1 yields the
-    exact partial derivative as the difference.  Shared nodes keep the value
-    of the current call, so one closure must not run in two threads at once.
+    The callable runs phi's operation list over a probability map, computing
+    each distinct node once per call; missing tuples surface as KeyError.
+    Because P is multilinear, calling it with p(t) pinned to 0 and 1 yields
+    the exact partial derivative as the difference.  It keeps no state
+    between calls and pickles.
     """
-    return _decompose(phi)
+    return partial(_run, _decompose(phi))
 
 
 def prob_exact(phi: LineageFormula, p: Mapping[TupleId, float]) -> float:

@@ -86,22 +86,33 @@ def load_tuples(path) -> ProbabilisticDatabase:
     return db
 
 
+def _splits(text: str) -> bool:
+    """Whether ``text`` holds a tab or a line break, which would split a row."""
+    return "\t" in text or text.splitlines() not in ([], [text])
+
+
 def _row(t: TupleId, last: str) -> str:
     """The tab-separated row of ``t`` with ``last`` as its final column.
 
     Raises ValueError for an argument that would not read back as itself: a
-    str that reads as an int, or text that holds a tab or a line break.
+    str that reads as an int, or text that holds a tab or a line break.  It
+    does the same for a relation that holds a tab or a line break, or that
+    would start a comment line: the row's text after leading whitespace
+    starts with ``%``.
     """
     for value in t.key:
         if isinstance(value, str) and (
-            parse_arg_token(value) != value
-            or "\t" in value
-            or value.splitlines() not in ([], [value])
+            parse_arg_token(value) != value or _splits(value)
         ):
             raise ValueError(
                 f"tuple {t}: argument {value!r} would not read back as itself"
             )
-    return "\t".join([t.relation, *map(str, t.key), last]) + "\n"
+    row = "\t".join([t.relation, *map(str, t.key), last])
+    if _splits(t.relation) or row.lstrip().startswith("%"):
+        raise ValueError(
+            f"tuple {t}: relation {t.relation!r} would not read back as itself"
+        )
+    return row + "\n"
 
 
 def tuples_text(db: ProbabilisticDatabase) -> str:

@@ -495,7 +495,7 @@ def _compile(spec: _CompSpec) -> tuple:
 def _compile_component(spec: _CompSpec, state: _CompState) -> tuple:
     """Compile the component's formulas and set its initial objective part.
 
-    The initial values come from the compiled closures, the same polynomials
+    The initial values come from the compiled forms, the same polynomials
     every later pass evaluates.
     """
     compiled = _compile(spec)
@@ -511,8 +511,8 @@ class _Resident:
 
     Each component is compiled and initialized on its first call and runs
     every pass where it lives; only objective values travel back, and the
-    states once at the end.  Compiled closures do not pickle;
-    compiling where the component lives serves fork and spawn alike.
+    states once at the end.  Compiled forms pickle, but each component still
+    compiles where it lives, so the workers compile in parallel.
     """
 
     def __init__(self, members):

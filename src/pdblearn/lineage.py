@@ -56,8 +56,6 @@ __all__ = [
     "format_formula",
 ]
 
-ArgValue = "int | str"
-
 SYNTHETIC_RELATION = "#"
 
 _BARE_ARG = re.compile(r"[A-Za-z0-9_.+\-/:@']+")

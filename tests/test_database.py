@@ -65,14 +65,13 @@ def test_arity_is_enforced_per_relation():
 
 
 def test_relations_and_relation_tuples():
-    db, ids = story_db()
+    db, _ = story_db()
     assert db.relations == (
         "bornInExtraction",
         "fromDomain",
         "usingPattern",
         "wonPrizeExtraction",
     )
-    assert db.relation_tuples("fromDomain") == (ids["t8"], ids["t9"])
 
 
 def test_readding_overwrites_annotation():

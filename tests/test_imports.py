@@ -1,9 +1,11 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports or defines is used.
 
 No linter runs on this code, so this parses each module of the package
 (except ``__init__``, which imports to re-export) and lists the imported
-names that the module never reads.  A name counts as read when it appears
-as an expression, inside a string annotation, or in ``__all__``.
+names that the module never reads, and the names it defines at module level
+that it never reads, does not export in ``__all__``, and that no other module
+of the package imports.  A name counts as read when it appears as an
+expression, inside a string annotation, or in ``__all__``.
 """
 
 import ast
@@ -31,7 +33,7 @@ def _imported(tree: ast.Module) -> dict:
 def _read(tree: ast.Module) -> set:
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             # string annotations and __all__ entries
@@ -68,3 +70,61 @@ def test_the_check_finds_an_unused_import():
 def test_module_uses_every_import(path):
     found = unused_imports(path.read_text(encoding="utf-8"))
     assert not found, f"{path.name} imports names it never uses: {found}"
+
+
+def _defined(tree: ast.Module) -> dict:
+    """Name -> line of each def, class and assignment at module level."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return {n: line for n, line in names.items() if not n.startswith("__")}
+
+
+def _imported_from_package() -> dict:
+    """Module name -> the names other modules of the package import from it."""
+    out: dict = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                out.setdefault(node.module, set()).update(a.name for a in node.names)
+    return out
+
+
+def unread_names(source: str, imported_elsewhere: set) -> list:
+    tree = ast.parse(source)
+    used = _read(tree) | imported_elsewhere
+    return sorted(
+        (line, name) for name, line in _defined(tree).items() if name not in used
+    )
+
+
+def test_the_check_finds_an_unread_name():
+    source = (
+        "__all__ = ['public']\n"
+        "A, B = 1, 2\n"
+        "C: int = 3\n"
+        "def public(x: 'D') -> int:\n"
+        "    return A\n"
+        "class D:\n"
+        "    pass\n"
+        "class _Unused:\n"
+        "    E = 4\n"
+        "def _elsewhere():\n"
+        "    pass\n"
+    )
+    assert unread_names(source, {"_elsewhere"}) == [(2, "B"), (3, "C"), (8, "_Unused")]
+    assert unread_names("X = 1\nX = X + 1\n", set()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_name_it_defines(path):
+    elsewhere = _imported_from_package().get(path.stem, set())
+    found = unread_names(path.read_text(encoding="utf-8"), elsewhere)
+    assert not found, f"{path.name} defines names nothing reads: {found}"

@@ -170,10 +170,26 @@ class TestExact:
         got = prob_exact(Or(*[And(v(i), v(i + 1)) for i in range(n - 1)]), p)
         assert got == pytest.approx(1.0 - fib[1] / 2**n, abs=1e-12)
 
-    @pytest.mark.parametrize("n, message", [(200, "calls deep"), (600, "too deep")])
+    def test_a_deep_chain_evaluates_under_a_low_recursion_limit(self):
+        # 340 frames above this one: planning fits the 200-tuple chain, and
+        # evaluation runs the operation list in one loop, without recursing
+        n = 200
+        chain = Or(*[And(v(i), v(i + 1)) for i in range(n - 1)])
+        fib = (1, 1)
+        for _ in range(n):
+            fib = (fib[1], fib[0] + fib[1])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 340)
+        try:
+            got = prob_exact(chain, {tid(i): 0.5 for i in range(n)})
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == pytest.approx(1.0 - fib[1] / 2**n, abs=1e-12)
+
+    @pytest.mark.parametrize("n, message", [(600, "too deep")])
     def test_too_deep_a_decomposition_raises(self, n, message):
-        # 340 frames above this one: the first pass fits the 200-tuple chain,
-        # but an evaluation of it would nest deeper than half the limit
+        # 340 frames above this one: planning the 600-tuple chain nests
+        # deeper than the limit
         chain = Or(*[And(v(i), v(i + 1)) for i in range(n - 1)])
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 340)

@@ -43,6 +43,7 @@ from pdblearn import (
     save_tuples,
     write_trace,
 )
+from pdblearn.cli import _learner_config, build_parser
 
 from conftest import STORY_RULES, build_formula, recipes, story_db, tid
 
@@ -125,6 +126,32 @@ class TestTuplesFiles:
         assert load_tuples(tmp_path / "tuples.tsv").tuples == {t}
         save_probabilities({t: 0.5}, tmp_path / "probabilities.tsv")
         assert load_probabilities(tmp_path / "probabilities.tsv") == {t: 0.5}
+
+    def test_relations_that_would_not_read_back_are_refused(self, tmp_path):
+        # a row whose text after leading whitespace starts with % is a comment
+        # line; a tab or a line break in the relation would split the row
+        for t in (
+            TupleId("%r", (1,)),
+            TupleId(" %r", (1,)),
+            TupleId("", ("%a",)),
+            TupleId("a\tb", (1,)),
+            TupleId("a\nb", (1,)),
+            TupleId("a\rb", ()),
+        ):
+            db = ProbabilisticDatabase()
+            db.add(t, 0.5)
+            with pytest.raises(ValueError) as err:
+                save_tuples(db, tmp_path / "tuples.tsv")
+            assert str(t) in str(err.value)
+            with pytest.raises(ValueError) as err:
+                save_probabilities({t: 0.5}, tmp_path / "probabilities.tsv")
+            assert str(t) in str(err.value)
+        db = ProbabilisticDatabase()
+        kept = {TupleId("r%", (1,)), TupleId(" r", ("%a",)), TupleId("", ())}
+        for t in kept:
+            db.add(t, 0.5)
+        save_tuples(db, tmp_path / "tuples.tsv")
+        assert load_tuples(tmp_path / "tuples.tsv").tuples == kept
 
 
 class TestRulesAndLabelFiles:
@@ -499,6 +526,13 @@ def story_files(tmp_path):
 
 
 class TestCli:
+    def test_learn_flags_default_to_the_learner_config(self):
+        for command in ("learn", "clean"):
+            args = build_parser().parse_args(
+                [command, "--tuples", "t.tsv", "--labels", "l.tsv"]
+            )
+            assert _learner_config(args) == LearnerConfig()
+
     def test_usage_errors_exit_one(self, tmp_path):
         # the CLI's own messages, so a child that never reached the CLI
         # (an import failure also exits 1) cannot pass for a usage error
