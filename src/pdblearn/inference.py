@@ -30,13 +30,21 @@ the only compiled form of a formula (a circuit, as in Darwiche, JACM 2003).
 probability map, computing each node once in one loop, and ``prob_exact``
 compiles and calls it once.  ``derivative`` compiles the two pinned formulas.
 
-Memoization is call-local on canonical subformulas.
+Memoization is call-local on canonical subformulas.  Across formulas,
+``_compile_shared`` decomposes each shape once, the same caching applied
+across labels: formulas that are equal up to a renaming of their tuples that
+keeps the tuples' order have equal shape keys (``_shape``) and decompose into
+the same operations up to that renaming.  Each formula takes those
+operations with its own tuples mapped in, written as slots of a probability
+list, which ``_run`` indexes as it would index a map.  The learner compiles
+its components this way.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -160,6 +168,7 @@ def _shannon_tuple(children: Sequence[LineageFormula]) -> TupleId:
 
 # operation codes; each operation is (code, tuple or constant, child indices)
 _CONST, _LEAF, _NEG, _AND, _OR, _DISJOINT, _SHANNON = range(7)
+_ON_TUPLES = (_LEAF, _SHANNON)  # the codes whose argument is a tuple
 
 
 def _decompose(phi: LineageFormula) -> tuple:
@@ -219,8 +228,87 @@ def _decompose(phi: LineageFormula) -> tuple:
     return tuple(ops)
 
 
+_SORT_KEY = attrgetter("sort_key")
+
+
+def _shape(phi: LineageFormula) -> tuple:
+    """phi's shape key and its tuples in sorted order.
+
+    The key is phi's canonical form, in pre-order, with each tuple replaced
+    by its rank among phi's sorted tuples: a leaf is its rank, a negation -1,
+    a conjunction or disjunction -2 or -3 then its arity, and a constant its
+    ``_skey``.  Renaming by rank keeps every ``_skey`` comparison and every
+    ``_shannon_tuple`` tie-break, and ``connected_components`` orders groups
+    by index, so formulas with equal keys decompose into the same operations
+    up to that renaming.
+    """
+    ordered = sorted(phi._tuples, key=_SORT_KEY)
+    rank = {t.sort_key: r for r, t in enumerate(ordered)}
+    key = []
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        kind = f.__class__
+        if kind is Var:
+            key.append(rank[f.tuple_id.sort_key])
+        elif kind is Not:
+            key.append(-1)
+            stack.append(f.child)
+        elif kind is Constant:
+            key.append(f._skey)
+        else:
+            key += (-f._kind, len(f.children))
+            stack += f.children
+    return tuple(key), ordered
+
+
+def _relabel(ops: tuple, new, made: dict) -> tuple:
+    """ops with the tuple t of each leaf and Shannon node replaced by new[t].
+
+    Each such operation is taken from ``made`` if an equal one is there, and
+    added to it otherwise.
+    """
+    out = []
+    for op in ops:
+        if op[0] in _ON_TUPLES:
+            op = (op[0], new[op[1]], op[2])
+            op = made.setdefault(op, op)
+        out.append(op)
+    return tuple(out)
+
+
+def _compile_shared(
+    formulas: Iterable[LineageFormula], slot: Mapping[TupleId, int]
+) -> Iterator[tuple]:
+    """Each formula's operations and its tuples' slots; one decomposition per shape.
+
+    The first formula of a shape key is decomposed; every later one takes
+    those operations with its own tuples mapped in by rank.  In the lists
+    yielded, a leaf or Shannon node on tuple t holds ``slot[t]``, so ``_run``
+    reads it from a list indexed by slot.  Equal operations are one object,
+    so the formulas that read a slot share its leaf.  The slots come in
+    sorted tuple order and cover every tuple of the formula, also one that
+    its operations no longer read.  An intractable formula raises when it is
+    reached, after the pairs of the formulas before it.
+    """
+    shapes: dict = {}  # shape key -> operations whose tuples are ranks
+    made: dict = {}  # every operation on a slot, kept once
+    for phi in formulas:
+        key, ordered = _shape(phi)
+        ops = shapes.get(key)
+        if ops is None:
+            rank = {t: r for r, t in enumerate(ordered)}
+            ops = shapes[key] = _relabel(_decompose(phi), rank, {})
+        slots = [slot[t] for t in ordered]
+        yield _relabel(ops, slots, made), slots
+
+
 def _run(ops: tuple, p: Mapping[TupleId, float]) -> float:
-    """P of the compiled formula under ``p``, computing each operation once."""
+    """P of the compiled formula under ``p``, computing each operation once.
+
+    ``p`` is indexed by the leaves' arguments: a map keyed by tuple, or a
+    list keyed by slot for the operations of ``_compile_shared``.
+    """
     vals: list = []
     for code, arg, kids in ops:  # the most frequent codes are tested first
         if code == _LEAF:

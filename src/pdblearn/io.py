@@ -65,6 +65,17 @@ def _data_lines(path):
         yield n, line
 
 
+def _probability(text: str, n: int) -> float:
+    """The probability column of line n; ParseError unless a number in [0, 1]."""
+    try:
+        prob = float(text)
+    except ValueError:
+        raise ParseError(f"bad probability {text!r}", line=n) from None
+    if not 0.0 <= prob <= 1.0:  # also refuses nan
+        raise ParseError(f"probability {prob} outside [0, 1]", line=n)
+    return prob
+
+
 def load_tuples(path) -> ProbabilisticDatabase:
     db = ProbabilisticDatabase()
     for n, line in _data_lines(path):
@@ -76,13 +87,7 @@ def load_tuples(path) -> ProbabilisticDatabase:
         if last.strip() == "?":
             db.add(tid, learnable=True)
         else:
-            try:
-                prob = float(last)
-            except ValueError:
-                raise ParseError(f"bad probability {last!r}", line=n) from None
-            if not 0.0 <= prob <= 1.0:
-                raise ParseError(f"probability {prob} outside [0, 1]", line=n)
-            db.add(tid, prob)
+            db.add(tid, _probability(last, n))
     return db
 
 
@@ -206,10 +211,8 @@ def load_probabilities(path) -> dict:
         if len(fields) < 2:
             raise ParseError("expected relation, arguments, probability", line=n)
         relation, *args, last = fields
-        try:
-            out[TupleId(relation, tuple(parse_arg_token(a) for a in args))] = float(last)
-        except ValueError:
-            raise ParseError(f"bad probability {last!r}", line=n) from None
+        tid = TupleId(relation, tuple(parse_arg_token(a) for a in args))
+        out[tid] = _probability(last, n)
     return out
 
 

@@ -26,11 +26,11 @@ one point as a single step with one rate.
 
 Tuples that never co-occur in a label cannot influence each other, so the
 tuple-label incidence graph is split into connected components which are
-optimized independently - in parallel worker processes when
-``LearnerConfig.threads > 1``.  Components run their passes in lockstep so the
-trace remains a global convergence curve; with ``threads=1`` the exact same
-sequence runs inline, which makes the single-threaded run the deterministic
-reference.
+optimized independently - in parallel when ``LearnerConfig.threads > 1``: the
+calling process and up to ``threads - 1`` forked workers each own some of them.
+Components run their passes in lockstep so the trace remains a global
+convergence curve; with ``threads=1`` the exact same sequence runs inline,
+which makes the single-threaded run the deterministic reference.
 
 Stopping: the run converges when the objective reaches ``eps_abs`` (for mse;
 ``1 - eps_abs`` for logical), or when a full outer pass improves it by less
@@ -40,18 +40,21 @@ non-convergence.
 
 The declarative entry points (:func:`mse`, :func:`mse_gradient`,
 :func:`logical_objective`) use plain exact inference; :func:`learn` compiles
-each label formula once and exploits multilinearity - evaluating the compiled
-polynomial with p(t) pinned to 0 and 1 yields both the exact derivative and,
-as an affine function of the trial value, the new objective without any
-further inference.
+each shape of label formula once per component and exploits multilinearity -
+evaluating the compiled polynomial with p(t) pinned to 0 and 1 yields both
+the exact derivative and, as an affine function of the trial value, the new
+objective without any further inference.  The compiled forms read a
+component's probabilities from one list, indexed by slot.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Mapping, Sequence
 
 import multiprocessing
@@ -63,7 +66,7 @@ from .errors import (
     IntractableFormulaError,
     NonBooleanLabelError,
 )
-from .inference import compile_probability, prob_exact, derivative
+from .inference import _compile_shared, _run, derivative, prob_exact
 from .lineage import (
     And,
     LineageFormula,
@@ -299,7 +302,6 @@ class _CompSpec:
     label_indices: tuple  # the caller's indices of the labels behind formulas
     targets: tuple  # per label, aligned with label_indices; read by mse only
     label_weights: tuple  # likewise
-    incidence: tuple  # per tuple: indices into formulas; (0,) for logical
     fixed: dict  # known probabilities needed by the formulas
     cfg: LearnerConfig
 
@@ -313,6 +315,7 @@ class _CompState:
     rng: np.random.Generator
     value: float = 0.0  # this component's objective part
     label_p: list = field(default_factory=list)  # cached P per formula
+    probs: list = field(default_factory=list)  # p per slot (see _compile)
     done: bool = False
     accepted_log: list | None = None
 
@@ -342,18 +345,20 @@ def _clamp(w: float) -> float:
 # --- the pass -----------------------------------------------------------------
 
 
-def _pin(pmap: dict, tid: TupleId, compiled, touched) -> tuple:
-    """The touched formulas' values with p(tid) pinned to 0, then to 1.
+def _pin(probs: list, idx: int, compiled, touched) -> tuple:
+    """The touched formulas' values with tuple idx's p pinned to 0, then to 1.
 
-    P is multilinear in p(tid), so the two lists give its value anywhere on
-    that line, and their difference the exact partial derivative.
+    ``probs`` is the component's probability list and ``compiled`` its
+    operation lists, which read it by slot; tuple idx is slot idx.  P is
+    multilinear in that p, so the two lists give its value anywhere on that
+    line, and their difference the exact partial derivative.
     """
-    p_t = pmap[tid]
-    pmap[tid] = 0.0
-    lows = [compiled[i](pmap) for i in touched]
-    pmap[tid] = 1.0
-    highs = [compiled[i](pmap) for i in touched]
-    pmap[tid] = p_t
+    p_t = probs[idx]
+    probs[idx] = 0.0
+    lows = [_run(compiled[i], probs) for i in touched]
+    probs[idx] = 1.0
+    highs = [_run(compiled[i], probs) for i in touched]
+    probs[idx] = p_t
     return lows, highs
 
 
@@ -412,34 +417,32 @@ def _adapt(rate: float, grow: bool) -> float:
     return max(rate * 0.5, RATE_MIN)
 
 
-def _run_pass(spec: _CompSpec, state: _CompState, compiled) -> None:
+def _run_pass(spec: _CompSpec, state: _CompState, compiled, incidence) -> None:
     """One pass over the component's tuples, for every objective and optimizer.
 
     sgd tries a step per tuple, in a fresh random order.  gd visits the tuples
     in order, drawing nothing from the RNG, collects every tuple's step from
-    the same point and tries them all as one step.
+    the same point and tries them all as one step.  The probability list
+    holds expit of each weight before and after the pass.
     """
     gd = spec.cfg.optimizer == "gd"
+    per_tuple = spec.cfg.optimizer == "sgd-per-tuple"
     n = len(spec.tuples)
     weights, rates, label_p = state.weights, state.rates, state.label_p
-    pmap = dict(spec.fixed)
-    for i, t in enumerate(spec.tuples):
-        pmap[t] = expit(weights[i])
+    probs = state.probs
     value = state.value
     steps = [0.0] * n
     kept = []  # the part after each accepted step
-    order = range(n) if gd else state.rng.permutation(n)
-    for raw in order:
-        idx = int(raw)
-        tid = spec.tuples[idx]
-        touched = spec.incidence[idx]
-        p_t = pmap[tid]
-        lows, highs = _pin(pmap, tid, compiled, touched)
+    order = range(n) if gd else state.rng.permutation(n).tolist()
+    for idx in order:
+        touched = incidence[idx]
+        p_t = probs[idx]
+        lows, highs = _pin(probs, idx, compiled, touched)
         grad = _slope(spec, label_p, touched, lows, highs)
         if gd:
             steps[idx] = grad * p_t * (1.0 - p_t)
             continue
-        slot = idx if spec.cfg.optimizer == "sgd-per-tuple" else 0
+        slot = idx if per_tuple else 0
         w_new = _clamp(weights[idx] - rates[slot] * grad * p_t * (1.0 - p_t))
         p_new = expit(w_new)
         trial_p = [low + p_new * (high - low) for low, high in zip(lows, highs)]
@@ -447,7 +450,7 @@ def _run_pass(spec: _CompSpec, state: _CompState, compiled) -> None:
         grow = _improves(spec, candidate, value)
         if grow:
             weights[idx] = w_new
-            pmap[tid] = p_new
+            probs[idx] = p_new
             for k, i in enumerate(touched):
                 label_p[i] = trial_p[k]
             value = candidate
@@ -459,9 +462,8 @@ def _run_pass(spec: _CompSpec, state: _CompState, compiled) -> None:
     if gd:
         rate = rates[0]
         w_new = [_clamp(weights[i] - rate * steps[i]) for i in range(n)]
-        for i, t in enumerate(spec.tuples):
-            pmap[t] = expit(w_new[i])
-        trial_p = [fn(pmap) for fn in compiled]
+        probs[:n] = [expit(w) for w in w_new]
+        trial_p = [_run(ops, probs) for ops in compiled]
         candidate = _part(spec, trial_p)
         grow = _improves(spec, candidate, value)
         if grow:
@@ -469,6 +471,8 @@ def _run_pass(spec: _CompSpec, state: _CompState, compiled) -> None:
             state.label_p = trial_p
             value = candidate
             kept.append(value)
+        else:
+            probs[:n] = [expit(w) for w in weights]
         rates[0] = _adapt(rate, grow)
     state.value = value
     if state.accepted_log is not None:
@@ -478,58 +482,80 @@ def _run_pass(spec: _CompSpec, state: _CompState, compiled) -> None:
 
 
 def _compile(spec: _CompSpec) -> tuple:
-    """Compile the component's formulas; an intractable one names its labels."""
-    compiled = []
-    for j, formula in enumerate(spec.formulas):
-        try:
-            compiled.append(compile_probability(formula))
-        except IntractableFormulaError as exc:
-            if spec.cfg.objective == "logical":
-                where = f"labels {list(spec.label_indices)}"
-            else:
-                where = f"label {spec.label_indices[j]}"
-            raise IntractableFormulaError(f"{where}: {exc}") from exc
-    return tuple(compiled)
+    """The component's operation lists, read by slot, and its incidence.
+
+    Each shape of formula is decomposed once.  Every tuple the operations
+    read is replaced by its slot in the component's probability list: the
+    learnable tuples take slots 0 to n-1 in ``spec.tuples`` order, then the
+    fixed tuples follow in ``spec.fixed`` order.  The incidence lists, per
+    learnable tuple, the formulas that mention it, in order; for logical it
+    is [0] for every tuple.  An intractable formula names its label, or the
+    labels of the logical conjunction.
+    """
+    n = len(spec.tuples)
+    slot = {t: k for k, t in enumerate((*spec.tuples, *spec.fixed))}
+    compiled: list = []
+    incidence: list = [[] for _ in range(n)]
+    try:
+        for ops, slots in _compile_shared(spec.formulas, slot):
+            for k in slots:
+                if k < n:
+                    incidence[k].append(len(compiled))
+            compiled.append(ops)
+    except IntractableFormulaError as exc:
+        if spec.cfg.objective == "logical":
+            where = f"labels {list(spec.label_indices)}"
+        else:
+            where = f"label {spec.label_indices[len(compiled)]}"
+        raise IntractableFormulaError(f"{where}: {exc}") from exc
+    return tuple(compiled), incidence
 
 
 def _compile_component(spec: _CompSpec, state: _CompState) -> tuple:
     """Compile the component's formulas and set its initial objective part.
 
     The initial values come from the compiled forms, the same polynomials
-    every later pass evaluates.
+    every later pass evaluates, with the tuples at ``spec.start_p``.  The
+    passes then read expit of each weight from the probability list kept in
+    ``state``.
     """
-    compiled = _compile(spec)
-    pmap = dict(spec.fixed)
-    pmap.update(zip(spec.tuples, spec.start_p))
-    state.label_p = [fn(pmap) for fn in compiled]
+    compiled, incidence = _compile(spec)
+    probs = [*spec.start_p, *spec.fixed.values()]
+    state.label_p = [_run(ops, probs) for ops in compiled]
     state.value = _part(spec, state.label_p)
-    return compiled
+    probs[: len(spec.tuples)] = [expit(w) for w in state.weights]
+    state.probs = probs
+    return compiled, incidence
 
 
 class _Resident:
     """The components one process owns, kept there for the whole run.
 
     Each component is compiled and initialized on its first call and runs
-    every pass where it lives; only objective values travel back, and the
-    states once at the end.  Compiled forms pickle, but each component still
-    compiles where it lives, so the workers compile in parallel.
+    every pass where it lives, over the operation lists and the probability
+    list it keeps; only objective values travel back, and the states once at
+    the end.  Compiled forms pickle, but each component still compiles where
+    it lives, so the processes compile in parallel.
     """
 
     def __init__(self, members):
         self.members = {spec.index: (spec, state) for spec, state in members}
         self.compiled: dict = {}
 
-    def start(self, indices) -> list:
-        """Initial objective part per component, or the error that stopped it."""
-        out = []
-        for index in indices:
-            spec, state = self.members[index]
+    def start(self) -> dict:
+        """Compile and initialize every component.
+
+        Returns, by component index, its initial objective part or the error
+        that stopped it.
+        """
+        out: dict = {}
+        for index, (spec, state) in self.members.items():
             try:
                 self.compiled[index] = _compile_component(spec, state)
             except IntractableFormulaError as exc:
-                out.append(exc)
+                out[index] = exc
             else:
-                out.append(state.value)
+                out[index] = state.value
         return out
 
     def step(self, indices) -> list:
@@ -537,7 +563,7 @@ class _Resident:
         out = []
         for index in indices:
             spec, state = self.members[index]
-            _run_pass(spec, state, self.compiled[index])
+            _run_pass(spec, state, *self.compiled[index])
             out.append((state.value, state.done))
         return out
 
@@ -545,52 +571,83 @@ class _Resident:
         return [self.members[index][1] for index in indices]
 
     def call(self, method: str, wanted) -> dict:
-        """Run ``method`` on every wanted component; results by component index."""
-        ids = [i for i, w in enumerate(wanted) if w]
+        """Run ``method`` on every wanted component here; results by index."""
+        ids = [i for i in self.members if wanted[i]]
         return dict(zip(ids, getattr(self, method)(ids)))
 
 
-# Worker processes: one per slot, owning that slot's components for the whole
-# run and serving (method, indices) requests on a pipe until it reads None.
-# Plain processes rather than an executor per slot: every executor starts a
-# manager thread, and forking the next worker from a threaded process is
-# unsafe.
+# The first slot's components stay in the calling process, which would
+# otherwise only wait for the others; each other slot gets a worker process
+# that owns its components for the whole run.  A worker starts its components
+# unasked, as soon as it is forked, so it compiles while the parent forks the
+# next worker and then starts its own; it sends that reply, then serves
+# (method, indices) requests on its pipe, one reply each, until it reads None.
+# The processes are first moved to the usable CPUs in turn and then let free:
+# left to itself, the kernel was seen to keep newly forked workers on the
+# parent's CPU for up to a second while another CPU stayed idle.  Plain
+# processes rather than an executor per slot: every executor starts a manager
+# thread, and forking the next worker from a threaded process is unsafe.
 
 
-def _worker_main(conn, members) -> None:
+def _move_to(cpu) -> None:
+    """Move this thread to ``cpu``, then let it run on every CPU it could before."""
+    if cpu is None:
+        return
+    usable = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:  # that CPU is no longer usable: stay put
+        return
+    os.sched_setaffinity(0, usable)
+
+
+def _worker_main(conn, members, cpu) -> None:
+    _move_to(cpu)
     resident = _Resident(members)
+    task = resident.start
     while True:
-        request = conn.recv()
+        try:
+            reply = (True, task())
+        except Exception as exc:  # raised again in the parent
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+            request = conn.recv()
+        except (EOFError, OSError):  # the parent closed the pipe
+            return
         if request is None:
             return
         method, indices = request
-        try:
-            reply = (True, getattr(resident, method)(indices))
-        except Exception as exc:  # raised again in the parent
-            reply = (False, exc)
-        conn.send(reply)
+        task = partial(getattr(resident, method), indices)
 
 
 class _Workers:
-    """One worker process per slot, each owning that slot's components."""
+    """The first slot's components here, and a worker process per other slot."""
 
     def __init__(self, slots, members):
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # platform without fork
             context = multiprocessing.get_context()
-        self.slots = slots
+        if hasattr(os, "sched_getaffinity"):
+            usable = sorted(os.sched_getaffinity(0))
+        else:
+            usable = [None]  # cannot tell: nothing is moved
+        cpus = [usable[k % len(usable)] for k in range(len(slots))]
+        _move_to(cpus[0])
+        self.local = _Resident([members[i] for i in slots[0]])
+        self.slots = slots[1:]
         self.conns: list = []
         self.procs: list = []
         # forked workers would otherwise run their collections over the heap
         # they inherit, and so copy its pages
         gc.freeze()
         try:
-            for slot in slots:
+            for slot, cpu in zip(self.slots, cpus[1:]):
                 conn, child_conn = context.Pipe()
                 proc = context.Process(
                     target=_worker_main,
-                    args=(child_conn, [members[i] for i in slot]),
+                    args=(child_conn, [members[i] for i in slot], cpu),
                     daemon=True,
                 )
                 proc.start()
@@ -603,23 +660,41 @@ class _Workers:
         finally:
             gc.unfreeze()
 
-    def call(self, method: str, wanted) -> dict:
-        """Run ``method`` on every wanted component; results by component index."""
-        jobs = [[i for i in slot if wanted[i]] for slot in self.slots]
-        for conn, ids in zip(self.conns, jobs):
-            if ids:
-                conn.send((method, ids))
-        out: dict = {}
-        error = None
-        for conn, ids in zip(self.conns, jobs):
-            if ids:
-                ok, result = conn.recv()
-                if ok:
-                    out.update(zip(ids, result))
-                elif error is None:
-                    error = result
+    def _replies(self, conns) -> list:
+        """One reply from each connection; the first error is raised."""
+        results, error = [], None
+        for conn in conns:
+            ok, result = conn.recv()
+            if ok:
+                results.append(result)
+            elif error is None:
+                error = result
         if error is not None:
             raise error
+        return results
+
+    def start(self) -> dict:
+        """Start the components here and collect each worker's own start.
+
+        Results by component index.
+        """
+        out = self.local.start()
+        for result in self._replies(self.conns):
+            out.update(result)
+        return out
+
+    def call(self, method: str, wanted) -> dict:
+        """Run ``method`` on every wanted component; results by component index."""
+        jobs = []
+        for conn, slot in zip(self.conns, self.slots):
+            ids = [i for i in slot if wanted[i]]
+            if ids:
+                conn.send((method, ids))
+                jobs.append((conn, ids))
+        out = self.local.call(method, wanted)
+        results = self._replies([conn for conn, _ in jobs])
+        for (_, ids), result in zip(jobs, results):
+            out.update(zip(ids, result))
         return out
 
     def close(self) -> None:
@@ -673,8 +748,8 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
     # probabilities of every non-learnable tuple any label mentions
     fixed: dict = {}
     for lab in labels:
-        for t in tuple_set(lab.formula):
-            if t not in learnable and t not in fixed:
+        for t in tuple_set(lab.formula) - learnable:
+            if t not in fixed:
                 fixed[t] = problem.db.probability(t)
 
     # group labels into independently optimizable components
@@ -714,13 +789,6 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
             formulas = (logical_conjunction(comp_labels),)
         else:
             formulas = tuple(lab.formula for lab in comp_labels)
-        tuple_pos = {t: k for k, t in enumerate(comp_learnable)}
-        incidence: list = [[] for _ in comp_learnable]
-        for j, formula in enumerate(formulas):
-            for t in tuple_set(formula):
-                pos = tuple_pos.get(t)
-                if pos is not None:
-                    incidence[pos].append(j)
         index = len(specs)
         spec = _CompSpec(
             index=index,
@@ -730,7 +798,6 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
             label_indices=label_indices,
             targets=tuple(lab.target for lab in comp_labels),
             label_weights=tuple(label_weights[i] for i in label_indices),
-            incidence=tuple(tuple(lst) for lst in incidence),
             fixed=comp_fixed,
             cfg=cfg,
         )
@@ -738,7 +805,8 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
             # logical keysets keep fixed tuples and keyless labels form groups
             # of their own, so a group may have no learnable tuple: its part
             # is a constant
-            part = _part(spec, [fn(comp_fixed) for fn in _compile(spec)])
+            probs = list(comp_fixed.values())
+            part = _part(spec, [_run(ops, probs) for ops in _compile(spec)[0]])
             fixed_part = fixed_part * part if logical else fixed_part + part
             continue
         n_rates = 1 if cfg.optimizer in ("sgd-single", "gd") else len(comp_learnable)
@@ -773,16 +841,11 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
     n_slots = max(1, min(cfg.threads, len(specs)))
     slots = [list(range(k, len(specs), n_slots)) for k in range(n_slots)]
     members = list(zip(specs, states))
-    if len(slots) > 1:
-        workers = _Workers(slots, members)
-        call = workers.call
-    else:
-        workers = None
-        call = _Resident(members).call
+    workers = _Workers(slots, members) if len(slots) > 1 else None
+    owner = workers or _Resident(members)
 
     try:
-        everyone = [True] * len(specs)
-        started = call("start", everyone)
+        started = owner.start()
         for index in range(len(specs)):
             if isinstance(started[index], IntractableFormulaError):
                 raise started[index]
@@ -802,7 +865,7 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
         else:
             prev = best
             for outer in range(1, cfg.max_outer_iterations + 1):
-                stepped = call("step", [not d for d in done])
+                stepped = owner.call("step", [not d for d in done])
                 for index, (value, finished) in stepped.items():
                     values[index] = value
                     done[index] = finished
@@ -822,7 +885,7 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
                     status = STATUS_REL if cfg.eps_rel > 0 else STATUS_MAX_ITERATIONS
                     break
                 prev = best
-        final = call("states", everyone)
+        final = owner.call("states", [True] * len(specs))
         states = [final[index] for index in range(len(specs))]
     finally:
         if workers is not None:

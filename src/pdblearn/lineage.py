@@ -355,12 +355,14 @@ def connected_components(keysets: Sequence[Iterable]) -> list:
 
     owner: dict = {}
     for i, keys in enumerate(keysets):
+        root = i  # i joins no group before its own keys are read
         for key in keys:
             j = owner.setdefault(key, i)
             if j != i:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+                other = find(j)
+                if other != root:
+                    parent[root] = other
+                    root = other
     groups: dict = {}
     for i in range(len(keysets)):
         groups.setdefault(find(i), []).append(i)

@@ -334,3 +334,56 @@ def test_one_closure_serves_successive_maps(n_vars, n_clauses, seed):
     for _ in range(3):
         p = random_pmap(phi, rng)
         assert fn(p) == pytest.approx(prob_bruteforce(phi, p), abs=1e-12)
+
+
+def _template(rng):
+    """Two or three conjunctions of literals over tuple positions 0 to 4.
+
+    The first two conjunctions share position 0 unnegated, so deciding their
+    disjunction needs a Shannon expansion.  Other literals are negated with
+    probability 0.3, and the whole disjunction with probability 0.2.
+    """
+    terms = []
+    for k in range(int(rng.integers(2, 4))):
+        others = rng.choice(np.arange(1, 5), size=int(rng.integers(1, 3)), replace=False)
+        term = [(int(i), bool(rng.random() < 0.3)) for i in others]
+        terms.append([(0, False)] + term if k < 2 else term)
+    return terms, bool(rng.random() < 0.2)
+
+
+def _instance(template, pool):
+    """The template's formula with position i read as tuple pool[i]."""
+    terms, negated = template
+    phi = Or(
+        *(And(*(Not(v(pool[i])) if neg else v(pool[i]) for i, neg in term)) for term in terms)
+    )
+    return Not(phi) if negated else phi
+
+
+@pytest.mark.property
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_formulas_compiled_together_match_each_compiled_alone(seed):
+    # four templates, each instantiated on random tuples: a pool in ascending
+    # order repeats its template's shape, a shuffled one may not
+    rng = np.random.default_rng(seed)
+    templates = [_template(rng) for _ in range(4)]
+    formulas = []
+    for k in range(16):
+        pool = rng.choice(40, size=5, replace=False)
+        formulas.append(_instance(templates[k % 4], sorted(pool) if k % 2 else pool))
+    shapes = {inference._shape(phi)[0] for phi in formulas}
+    assert len(shapes) < len(formulas)
+    tuples = sorted(set().union(*map(tuple_set, formulas)))
+    slot = {t: k for k, t in enumerate(reversed(tuples))}
+    together = []
+    for phi, (ops, slots) in zip(formulas, inference._compile_shared(formulas, slot)):
+        assert slots == [slot[t] for t in sorted(tuple_set(phi))]
+        together.append(ops)
+    assert any(op[0] == inference._SHANNON for ops in together for op in ops)
+    for _ in range(3):
+        p = {t: float(rng.random()) for t in tuples}
+        probs = [p[t] for t in reversed(tuples)]
+        for phi, ops in zip(formulas, together):
+            alone = compile_probability(phi)(p)
+            assert inference._run(ops, probs).hex() == alone.hex(), str(phi)

@@ -236,6 +236,16 @@ class TestProbabilitiesAndTraces:
         save_probabilities(probs, path)
         assert load_probabilities(path) == probs
 
+    def test_probabilities_outside_the_unit_interval_are_refused(self, tmp_path):
+        # a probabilities file reads its last column as a tuples file does
+        path = tmp_path / "probs.tsv"
+        for bad in ("1.5", "nan", "-0.25", "maybe"):
+            path.write_text(f"t\t1\t0.5\nt\t2\t{bad}\nt\t3\t0.25\n", encoding="utf-8")
+            for load in (load_tuples, load_probabilities):
+                with pytest.raises(ParseError) as err:
+                    load(path)
+                assert err.value.line == 2, (bad, load.__name__)
+
     def test_trace_csv_layout(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_trace([(0, 0.5, 1.25), (1, 0.125, 2.5)], path)

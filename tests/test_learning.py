@@ -482,6 +482,32 @@ class TestLearn:
         assert str(err.value).startswith("label 1: ")
         assert "reached 4 nodes, the MAX_NODES limit of 4" in str(err.value)
 
+    def test_each_shape_is_decomposed_once_per_component(self, monkeypatch):
+        # labels that differ only in which tuples they name, in the same
+        # order, share one decomposition within their component
+        inst = gen_synthetic_srl(2000, n_tuples=200, blocks=4)
+        decomposed = []
+        decompose = inference._decompose
+
+        def counting(phi):
+            decomposed.append(phi)
+            return decompose(phi)
+
+        monkeypatch.setattr(inference, "_decompose", counting)
+        learn(
+            LearningProblem(inst.db, inst.labels),
+            LearnerConfig(max_outer_iterations=0),
+        )
+        calls = len(decomposed)
+        assert calls < 0.6 * len(inst.labels)
+        keysets = [frozenset(tuple_set(lab.formula)) for lab in inst.labels]
+        shapes = [
+            {inference._shape(inst.labels[i].formula)[0] for i in indices}
+            for indices, _ in _label_components(keysets)
+        ]
+        assert len(shapes) == 4
+        assert calls == sum(map(len, shapes))
+
     @pytest.mark.property
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -512,6 +538,25 @@ class TestLearn:
         )
         assert solo.probabilities == pooled.probabilities
         assert solo.best == pooled.best
+
+    @pytest.mark.skipif(
+        not hasattr(learning.os, "sched_setaffinity"), reason="no CPU affinity"
+    )
+    def test_a_refused_cpu_move_leaves_the_run_unchanged(self, monkeypatch):
+        # each process of a parallel run is first moved to a CPU of its own;
+        # where the system refuses, the processes stay put and run as before
+        def refuse(pid, cpus):
+            raise PermissionError("CPU affinity is not allowed here")
+
+        inst = gen_synthetic_srl(200, seed=3, n_tuples=40, blocks=4)
+        cfg = dict(eps_abs=0.0, eps_rel=0.0, max_outer_iterations=4, seed=2)
+        serial = learn(LearningProblem(inst.db, inst.labels), LearnerConfig(**cfg))
+        monkeypatch.setattr(learning.os, "sched_setaffinity", refuse)
+        pooled = learn(
+            LearningProblem(inst.db, inst.labels), LearnerConfig(threads=4, **cfg)
+        )
+        assert pooled.probabilities == serial.probabilities
+        assert pooled.best == serial.best
 
     @pytest.mark.parametrize(
         "objective, optimizer",
