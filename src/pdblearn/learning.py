@@ -26,11 +26,14 @@ one point as a single step with one rate.
 
 Tuples that never co-occur in a label cannot influence each other, so the
 tuple-label incidence graph is split into connected components which are
-optimized independently - in parallel when ``LearnerConfig.threads > 1``: the
-calling process and up to ``threads - 1`` forked workers each own some of them.
-Components run their passes in lockstep so the trace remains a global
-convergence curve; with ``threads=1`` the exact same sequence runs inline,
-which makes the single-threaded run the deterministic reference.
+optimized independently.  Each component is one object that compiles, keeps
+its state and runs its passes in the process that owns it: the calling
+process, and when ``LearnerConfig.threads > 1`` up to ``threads - 1`` forked
+workers besides, all of which serve the same requests the same way.  Only
+objective parts travel back after each pass, and the learned weights once at
+the end.  Components run their passes in lockstep so the trace remains a
+global convergence curve; with ``threads=1`` the exact same sequence runs
+inline, which makes the single-threaded run the deterministic reference.
 
 Stopping: the run converges when the objective reaches ``eps_abs`` (for mse;
 ``1 - eps_abs`` for logical), or when a full outer pass improves it by less
@@ -44,7 +47,8 @@ each shape of label formula once per component and exploits multilinearity -
 evaluating the compiled polynomial with p(t) pinned to 0 and 1 yields both
 the exact derivative and, as an affine function of the trial value, the new
 objective without any further inference.  The compiled forms read a
-component's probabilities from one list, indexed by slot.
+component's probabilities from one list, indexed by slot: its learnable
+tuples first, then the known tuples its formulas mention, in sorted order.
 """
 
 from __future__ import annotations
@@ -53,8 +57,7 @@ import gc
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import multiprocessing
@@ -240,20 +243,21 @@ def mse_gradient(
     return total
 
 
+def _asserted(i: int, lab: Label) -> LineageFormula:
+    """Label i's formula if its target is 1.0, its negation if it is 0.0."""
+    if lab.target == 1.0:
+        return lab.formula
+    if lab.target == 0.0:
+        return Not(lab.formula)
+    raise NonBooleanLabelError(
+        f"label {i} target {lab.target} is not Boolean; "
+        "the logical objective needs targets of exactly 0.0 or 1.0"
+    )
+
+
 def logical_conjunction(labels: Sequence[Label]) -> LineageFormula:
     """The formula asserting all 1.0-labels and refuting all 0.0-labels."""
-    parts = []
-    for i, lab in enumerate(labels):
-        if lab.target == 1.0:
-            parts.append(lab.formula)
-        elif lab.target == 0.0:
-            parts.append(Not(lab.formula))
-        else:
-            raise NonBooleanLabelError(
-                f"label {i} target {lab.target} is not Boolean; "
-                "the logical objective needs targets of exactly 0.0 or 1.0"
-            )
-    return And(*parts)
+    return And(*(_asserted(i, lab) for i, lab in enumerate(labels)))
 
 
 def logical_objective(labels: Sequence[Label], p: Mapping[TupleId, float]) -> float:
@@ -291,35 +295,6 @@ def prior_augment(
 # --- component decomposition ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _CompSpec:
-    """Static per-component data; handed once to the process that owns it."""
-
-    index: int
-    tuples: tuple  # learnable tuples optimized here, sorted
-    start_p: tuple  # their initial probabilities, aligned with tuples
-    formulas: tuple  # label formulas (mse) or the single conjunction (logical)
-    label_indices: tuple  # the caller's indices of the labels behind formulas
-    targets: tuple  # per label, aligned with label_indices; read by mse only
-    label_weights: tuple  # likewise
-    fixed: dict  # known probabilities needed by the formulas
-    cfg: LearnerConfig
-
-
-@dataclass
-class _CompState:
-    """Mutable per-component state; stays in the process that owns it."""
-
-    weights: list  # logit-space parameters, aligned with spec.tuples
-    rates: list  # one per tuple, or a single shared entry
-    rng: np.random.Generator
-    value: float = 0.0  # this component's objective part
-    label_p: list = field(default_factory=list)  # cached P per formula
-    probs: list = field(default_factory=list)  # p per slot (see _compile)
-    done: bool = False
-    accepted_log: list | None = None
-
-
 def _label_components(keysets: Sequence[frozenset]) -> list:
     """Group keysets that share a key: (keyset indices, keys) per group.
 
@@ -342,9 +317,6 @@ def _clamp(w: float) -> float:
     return w
 
 
-# --- the pass -----------------------------------------------------------------
-
-
 def _pin(probs: list, idx: int, compiled, touched) -> tuple:
     """The touched formulas' values with tuple idx's p pinned to 0, then to 1.
 
@@ -362,226 +334,207 @@ def _pin(probs: list, idx: int, compiled, touched) -> tuple:
     return lows, highs
 
 
-def _slope(spec: _CompSpec, label_p, touched, lows, highs) -> float:
-    """d(part)/dp(t) in the descent sense, from the touched formulas pinned.
-
-    The logical part is maximized, so for it this is the negated derivative.
-    """
-    if spec.cfg.objective == "logical":
-        return lows[0] - highs[0]
-    weights, targets = spec.label_weights, spec.targets
-    grad = 0.0
-    for k, i in enumerate(touched):
-        grad += weights[i] * 2.0 * (label_p[i] - targets[i]) * (highs[k] - lows[k])
-    return grad
-
-
-def _trial(spec: _CompSpec, value: float, label_p, touched, trial_p) -> float:
-    """The component's part once the touched formulas take the values trial_p.
-
-    For mse only the touched terms change, so their change is added to the
-    current part; for logical the one conjunction is the part.
-    """
-    if spec.cfg.objective == "logical":
-        return trial_p[0]
-    weights, targets = spec.label_weights, spec.targets
-    delta = 0.0
-    for k, i in enumerate(touched):
-        r_new = trial_p[k] - targets[i]
-        r_old = label_p[i] - targets[i]
-        delta += weights[i] * (r_new * r_new - r_old * r_old)
-    return value + delta
-
-
-def _part(spec: _CompSpec, label_p) -> float:
-    """The component's objective part, from the value of every formula."""
-    if spec.cfg.objective == "logical":
-        return label_p[0]
-    value = 0.0
-    for j, p in enumerate(label_p):
-        residual = p - spec.targets[j]
-        value += spec.label_weights[j] * residual * residual
-    return value
-
-
-def _improves(spec: _CompSpec, candidate: float, value: float) -> bool:
-    """mse is minimized and logical maximized."""
-    if spec.cfg.objective == "logical":
-        return candidate > value
-    return candidate < value
-
-
 def _adapt(rate: float, grow: bool) -> float:
     if grow:
         return min(rate * 2.0, RATE_MAX)
     return max(rate * 0.5, RATE_MIN)
 
 
-def _run_pass(spec: _CompSpec, state: _CompState, compiled, incidence) -> None:
-    """One pass over the component's tuples, for every objective and optimizer.
+@dataclass
+class _Component:
+    """A group of labels and the learnable tuples they mention, optimized alone.
 
-    sgd tries a step per tuple, in a fresh random order.  gd visits the tuples
-    in order, drawing nothing from the RNG, collects every tuple's step from
-    the same point and tries them all as one step.  The probability list
-    holds expit of each weight before and after the pass.
-    """
-    gd = spec.cfg.optimizer == "gd"
-    per_tuple = spec.cfg.optimizer == "sgd-per-tuple"
-    n = len(spec.tuples)
-    weights, rates, label_p = state.weights, state.rates, state.label_p
-    probs = state.probs
-    value = state.value
-    steps = [0.0] * n
-    kept = []  # the part after each accepted step
-    order = range(n) if gd else state.rng.permutation(n).tolist()
-    for idx in order:
-        touched = incidence[idx]
-        p_t = probs[idx]
-        lows, highs = _pin(probs, idx, compiled, touched)
-        grad = _slope(spec, label_p, touched, lows, highs)
-        if gd:
-            steps[idx] = grad * p_t * (1.0 - p_t)
-            continue
-        slot = idx if per_tuple else 0
-        w_new = _clamp(weights[idx] - rates[slot] * grad * p_t * (1.0 - p_t))
-        p_new = expit(w_new)
-        trial_p = [low + p_new * (high - low) for low, high in zip(lows, highs)]
-        candidate = _trial(spec, value, label_p, touched, trial_p)
-        grow = _improves(spec, candidate, value)
-        if grow:
-            weights[idx] = w_new
-            probs[idx] = p_new
-            for k, i in enumerate(touched):
-                label_p[i] = trial_p[k]
-            value = candidate
-            kept.append(value)
-            # crossed a valley: growing the rate would lock in a reflection
-            # cycle around the optimum, so shrink instead
-            grow = not (_slope(spec, label_p, touched, lows, highs) * grad < 0.0)
-        rates[slot] = _adapt(rates[slot], grow)
-    if gd:
-        rate = rates[0]
-        w_new = [_clamp(weights[i] - rate * steps[i]) for i in range(n)]
-        probs[:n] = [expit(w) for w in w_new]
-        trial_p = [_run(ops, probs) for ops in compiled]
-        candidate = _part(spec, trial_p)
-        grow = _improves(spec, candidate, value)
-        if grow:
-            state.weights = w_new
-            state.label_p = trial_p
-            value = candidate
-            kept.append(value)
-        else:
-            probs[:n] = [expit(w) for w in weights]
-        rates[0] = _adapt(rate, grow)
-    state.value = value
-    if state.accepted_log is not None:
-        state.accepted_log.extend(kept)
-    if not kept and max(rates) <= RATE_MIN:
-        state.done = True  # no step can change anything anymore
-
-
-def _compile(spec: _CompSpec) -> tuple:
-    """The component's operation lists, read by slot, and its incidence.
-
-    Each shape of formula is decomposed once.  Every tuple the operations
-    read is replaced by its slot in the component's probability list: the
-    learnable tuples take slots 0 to n-1 in ``spec.tuples`` order, then the
-    fixed tuples follow in ``spec.fixed`` order.  The incidence lists, per
-    learnable tuple, the formulas that mention it, in order; for logical it
-    is [0] for every tuple.  An intractable formula names its label, or the
-    labels of the logical conjunction.
-    """
-    n = len(spec.tuples)
-    slot = {t: k for k, t in enumerate((*spec.tuples, *spec.fixed))}
-    compiled: list = []
-    incidence: list = [[] for _ in range(n)]
-    try:
-        for ops, slots in _compile_shared(spec.formulas, slot):
-            for k in slots:
-                if k < n:
-                    incidence[k].append(len(compiled))
-            compiled.append(ops)
-    except IntractableFormulaError as exc:
-        if spec.cfg.objective == "logical":
-            where = f"labels {list(spec.label_indices)}"
-        else:
-            where = f"label {spec.label_indices[len(compiled)]}"
-        raise IntractableFormulaError(f"{where}: {exc}") from exc
-    return tuple(compiled), incidence
-
-
-def _compile_component(spec: _CompSpec, state: _CompState) -> tuple:
-    """Compile the component's formulas and set its initial objective part.
-
-    The initial values come from the compiled forms, the same polynomials
-    every later pass evaluates, with the tuples at ``spec.start_p``.  The
-    passes then read expit of each weight from the probability list kept in
-    ``state``.
-    """
-    compiled, incidence = _compile(spec)
-    probs = [*spec.start_p, *spec.fixed.values()]
-    state.label_p = [_run(ops, probs) for ops in compiled]
-    state.value = _part(spec, state.label_p)
-    probs[: len(spec.tuples)] = [expit(w) for w in state.weights]
-    state.probs = probs
-    return compiled, incidence
-
-
-class _Resident:
-    """The components one process owns, kept there for the whole run.
-
-    Each component is compiled and initialized on its first call and runs
-    every pass where it lives, over the operation lists and the probability
-    list it keeps; only objective values travel back, and the states once at
-    the end.  Compiled forms pickle, but each component still compiles where
-    it lives, so the processes compile in parallel.
+    It lives in one process for the whole run: :meth:`start` compiles it
+    there, each :meth:`step` runs one pass over the operation lists and the
+    probability list it keeps, and :meth:`result` gives back what
+    :func:`learn` reads.  Only objective parts travel in between.
     """
 
-    def __init__(self, members):
-        self.members = {spec.index: (spec, state) for spec, state in members}
-        self.compiled: dict = {}
+    index: int
+    tuples: tuple  # learnable tuples optimized here, sorted
+    start_p: tuple  # their initial probabilities, aligned with tuples
+    formulas: tuple  # label formulas (mse) or the single conjunction (logical)
+    label_indices: tuple  # the caller's indices of the labels behind formulas
+    targets: tuple  # per label, aligned with label_indices; read by mse only
+    label_weights: tuple  # likewise
+    fixed: dict  # known probabilities the formulas need, in sorted tuple order
+    cfg: LearnerConfig
+    rng: np.random.Generator
 
-    def start(self) -> dict:
-        """Compile and initialize every component.
+    def __post_init__(self):
+        self.weights = [logit(p) for p in self.start_p]  # logit-space parameters
+        per_tuple = self.cfg.optimizer == "sgd-per-tuple"
+        self.rates = [RATE_INIT] * (len(self.tuples) if per_tuple else 1)
+        self.accepted_log = [] if self.cfg.record_accepted else None
+        self.done = False
 
-        Returns, by component index, its initial objective part or the error
-        that stopped it.
+    def start(self):
+        """Compile, then return the initial objective part or the error that stopped it.
+
+        Each shape of formula is decomposed once.  Every tuple the operations
+        read is replaced by its slot in the probability list: the learnable
+        tuples take slots 0 to n-1 in ``tuples`` order, then the fixed tuples
+        follow in sorted order.  The incidence lists, per learnable tuple, the
+        formulas that mention it, in order; for logical it is [0] for every
+        tuple.  An intractable formula's error names its label, or the labels
+        of the logical conjunction; it is returned, not raised, so that the
+        caller can report the first component's.  The initial values come
+        from the compiled forms, the same polynomials every later pass
+        evaluates, with the tuples at ``start_p``.  The passes then read
+        expit of each weight from the probability list.
         """
-        out: dict = {}
-        for index, (spec, state) in self.members.items():
-            try:
-                self.compiled[index] = _compile_component(spec, state)
-            except IntractableFormulaError as exc:
-                out[index] = exc
+        n = len(self.tuples)
+        slot = {t: k for k, t in enumerate((*self.tuples, *self.fixed))}
+        compiled: list = []
+        incidence: list = [[] for _ in range(n)]
+        try:
+            for ops, slots in _compile_shared(self.formulas, slot):
+                for k in slots:
+                    if k < n:
+                        incidence[k].append(len(compiled))
+                compiled.append(ops)
+        except IntractableFormulaError as exc:
+            if self.cfg.objective == "logical":
+                where = f"labels {list(self.label_indices)}"
             else:
-                out[index] = state.value
-        return out
+                where = f"label {self.label_indices[len(compiled)]}"
+            return IntractableFormulaError(f"{where}: {exc}")
+        self.compiled, self.incidence = tuple(compiled), incidence
+        probs = [*self.start_p, *self.fixed.values()]
+        self.label_p = [_run(ops, probs) for ops in compiled]  # P per formula
+        self.value = self._part(self.label_p)
+        probs[:n] = [expit(w) for w in self.weights]
+        self.probs = probs
+        return self.value
 
-    def step(self, indices) -> list:
-        """One pass per component: its new objective part and whether it is done."""
-        out = []
-        for index in indices:
-            spec, state = self.members[index]
-            _run_pass(spec, state, *self.compiled[index])
-            out.append((state.value, state.done))
-        return out
+    def _slope(self, label_p, touched, lows, highs) -> float:
+        """d(part)/dp(t) in the descent sense, from the touched formulas pinned.
 
-    def states(self, indices) -> list:
-        return [self.members[index][1] for index in indices]
+        The logical part is maximized, so for it this is the negated derivative.
+        """
+        if self.cfg.objective == "logical":
+            return lows[0] - highs[0]
+        weights, targets = self.label_weights, self.targets
+        grad = 0.0
+        for k, i in enumerate(touched):
+            grad += weights[i] * 2.0 * (label_p[i] - targets[i]) * (highs[k] - lows[k])
+        return grad
 
-    def call(self, method: str, wanted) -> dict:
-        """Run ``method`` on every wanted component here; results by index."""
-        ids = [i for i in self.members if wanted[i]]
-        return dict(zip(ids, getattr(self, method)(ids)))
+    def _trial(self, value: float, label_p, touched, trial_p) -> float:
+        """The part once the touched formulas take the values trial_p.
+
+        For mse only the touched terms change, so their change is added to the
+        current part; for logical the one conjunction is the part.
+        """
+        if self.cfg.objective == "logical":
+            return trial_p[0]
+        weights, targets = self.label_weights, self.targets
+        delta = 0.0
+        for k, i in enumerate(touched):
+            r_new = trial_p[k] - targets[i]
+            r_old = label_p[i] - targets[i]
+            delta += weights[i] * (r_new * r_new - r_old * r_old)
+        return value + delta
+
+    def _part(self, label_p) -> float:
+        """The objective part, from the value of every formula."""
+        if self.cfg.objective == "logical":
+            return label_p[0]
+        value = 0.0
+        for j, p in enumerate(label_p):
+            residual = p - self.targets[j]
+            value += self.label_weights[j] * residual * residual
+        return value
+
+    def _improves(self, candidate: float, value: float) -> bool:
+        """mse is minimized and logical maximized."""
+        if self.cfg.objective == "logical":
+            return candidate > value
+        return candidate < value
+
+    def step(self) -> tuple:
+        """One pass over the tuples: the new part, and whether the component is done.
+
+        sgd tries a step per tuple, in a fresh random order.  gd visits the
+        tuples in order, drawing nothing from the RNG, collects every tuple's
+        step from the same point and tries them all as one step.  The
+        probability list holds expit of each weight before and after the
+        pass.  A component that is done runs no more passes.
+        """
+        if self.done:
+            return self.value, True
+        gd = self.cfg.optimizer == "gd"
+        per_tuple = self.cfg.optimizer == "sgd-per-tuple"
+        n = len(self.tuples)
+        weights, rates, label_p = self.weights, self.rates, self.label_p
+        probs, compiled, incidence = self.probs, self.compiled, self.incidence
+        value = self.value
+        steps = [0.0] * n
+        kept = []  # the part after each accepted step
+        order = range(n) if gd else self.rng.permutation(n).tolist()
+        for idx in order:
+            touched = incidence[idx]
+            p_t = probs[idx]
+            lows, highs = _pin(probs, idx, compiled, touched)
+            grad = self._slope(label_p, touched, lows, highs)
+            if gd:
+                steps[idx] = grad * p_t * (1.0 - p_t)
+                continue
+            slot = idx if per_tuple else 0
+            w_new = _clamp(weights[idx] - rates[slot] * grad * p_t * (1.0 - p_t))
+            p_new = expit(w_new)
+            trial_p = [low + p_new * (high - low) for low, high in zip(lows, highs)]
+            candidate = self._trial(value, label_p, touched, trial_p)
+            grow = self._improves(candidate, value)
+            if grow:
+                weights[idx] = w_new
+                probs[idx] = p_new
+                for k, i in enumerate(touched):
+                    label_p[i] = trial_p[k]
+                value = candidate
+                kept.append(value)
+                # crossed a valley: growing the rate would lock in a reflection
+                # cycle around the optimum, so shrink instead
+                grow = not (self._slope(label_p, touched, lows, highs) * grad < 0.0)
+            rates[slot] = _adapt(rates[slot], grow)
+        if gd:
+            rate = rates[0]
+            w_new = [_clamp(weights[i] - rate * steps[i]) for i in range(n)]
+            probs[:n] = [expit(w) for w in w_new]
+            trial_p = [_run(ops, probs) for ops in compiled]
+            candidate = self._part(trial_p)
+            grow = self._improves(candidate, value)
+            if grow:
+                self.weights = w_new
+                self.label_p = trial_p
+                value = candidate
+                kept.append(value)
+            else:
+                probs[:n] = [expit(w) for w in weights]
+            rates[0] = _adapt(rate, grow)
+        self.value = value
+        if self.accepted_log is not None:
+            self.accepted_log.extend(kept)
+        if not kept and max(rates) <= RATE_MIN:
+            self.done = True  # no step can change anything anymore
+        return value, self.done
+
+    def result(self) -> tuple:
+        """The logit-space weights, aligned with ``tuples``, and the accepted parts."""
+        return self.weights, self.accepted_log
+
+
+def _serve(components, method: str) -> dict:
+    """Call ``method`` on each component; the replies by component index."""
+    return {comp.index: getattr(comp, method)() for comp in components}
 
 
 # The first slot's components stay in the calling process, which would
 # otherwise only wait for the others; each other slot gets a worker process
 # that owns its components for the whole run.  A worker starts its components
 # unasked, as soon as it is forked, so it compiles while the parent forks the
-# next worker and then starts its own; it sends that reply, then serves
-# (method, indices) requests on its pipe, one reply each, until it reads None.
+# next worker and then starts its own; it sends that reply, then serves one
+# method name at a time on its pipe, one reply each, until it reads None.
 # The processes are first moved to the usable CPUs in turn and then let free:
 # left to itself, the kernel was seen to keep newly forked workers on the
 # parent's CPU for up to a second while another CPU stayed idle.  Plain
@@ -601,30 +554,33 @@ def _move_to(cpu) -> None:
     os.sched_setaffinity(0, usable)
 
 
-def _worker_main(conn, members, cpu) -> None:
+def _worker_main(conn, components, cpu) -> None:
     _move_to(cpu)
-    resident = _Resident(members)
-    task = resident.start
-    while True:
+    method = "start"
+    while method is not None:
         try:
-            reply = (True, task())
+            reply = (True, _serve(components, method))
         except Exception as exc:  # raised again in the parent
             reply = (False, exc)
         try:
             conn.send(reply)
-            request = conn.recv()
+            method = conn.recv()
         except (EOFError, OSError):  # the parent closed the pipe
             return
-        if request is None:
-            return
-        method, indices = request
-        task = partial(getattr(resident, method), indices)
 
 
 class _Workers:
-    """The first slot's components here, and a worker process per other slot."""
+    """The first slot's components here, and a worker process per other slot.
 
-    def __init__(self, slots, members):
+    With one slot, nothing is forked, moved or frozen.
+    """
+
+    def __init__(self, slots):
+        self.local = slots[0]
+        self.conns: list = []
+        self.procs: list = []
+        if len(slots) == 1:
+            return
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # platform without fork
@@ -635,20 +591,15 @@ class _Workers:
             usable = [None]  # cannot tell: nothing is moved
         cpus = [usable[k % len(usable)] for k in range(len(slots))]
         _move_to(cpus[0])
-        self.local = _Resident([members[i] for i in slots[0]])
-        self.slots = slots[1:]
-        self.conns: list = []
-        self.procs: list = []
         # forked workers would otherwise run their collections over the heap
-        # they inherit, and so copy its pages
+        # they inherit, and so copy its pages; a heap the caller froze stays so
+        frozen = gc.get_freeze_count()
         gc.freeze()
         try:
-            for slot, cpu in zip(self.slots, cpus[1:]):
+            for slot, cpu in zip(slots[1:], cpus[1:]):
                 conn, child_conn = context.Pipe()
                 proc = context.Process(
-                    target=_worker_main,
-                    args=(child_conn, [members[i] for i in slot], cpu),
-                    daemon=True,
+                    target=_worker_main, args=(child_conn, slot, cpu), daemon=True
                 )
                 proc.start()
                 child_conn.close()
@@ -658,44 +609,31 @@ class _Workers:
             self.close()
             raise
         finally:
-            gc.unfreeze()
+            if not frozen:
+                gc.unfreeze()
 
-    def _replies(self, conns) -> list:
-        """One reply from each connection; the first error is raised."""
-        results, error = [], None
-        for conn in conns:
+    def _gather(self, out: dict) -> dict:
+        """Add one reply from each worker to ``out``; the first error is raised."""
+        error = None
+        for conn in self.conns:
             ok, result = conn.recv()
             if ok:
-                results.append(result)
+                out.update(result)
             elif error is None:
                 error = result
         if error is not None:
             raise error
-        return results
+        return out
 
     def start(self) -> dict:
-        """Start the components here and collect each worker's own start.
+        """Start the components here and collect each worker's own start."""
+        return self._gather(_serve(self.local, "start"))
 
-        Results by component index.
-        """
-        out = self.local.start()
-        for result in self._replies(self.conns):
-            out.update(result)
-        return out
-
-    def call(self, method: str, wanted) -> dict:
-        """Run ``method`` on every wanted component; results by component index."""
-        jobs = []
-        for conn, slot in zip(self.conns, self.slots):
-            ids = [i for i in slot if wanted[i]]
-            if ids:
-                conn.send((method, ids))
-                jobs.append((conn, ids))
-        out = self.local.call(method, wanted)
-        results = self._replies([conn for conn, _ in jobs])
-        for (_, ids), result in zip(jobs, results):
-            out.update(zip(ids, result))
-        return out
+    def call(self, method: str) -> dict:
+        """Call ``method`` on every component; the replies by component index."""
+        for conn in self.conns:
+            conn.send(method)
+        return self._gather(_serve(self.local, method))
 
     def close(self) -> None:
         for conn in self.conns:
@@ -742,15 +680,8 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
 
     logical = cfg.objective == "logical"
     if logical:
-        logical_conjunction(labels)  # validates Boolean targets
+        asserted = [_asserted(i, lab) for i, lab in enumerate(labels)]
     label_weights = _effective_weights(labels)
-
-    # probabilities of every non-learnable tuple any label mentions
-    fixed: dict = {}
-    for lab in labels:
-        for t in tuple_set(lab.formula) - learnable:
-            if t not in fixed:
-                fixed[t] = problem.db.probability(t)
 
     # group labels into independently optimizable components
     if logical:
@@ -774,55 +705,40 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
         # round-trip once so cached values match exactly what expit(w) yields
         init_p[t] = expit(logit(float(init_rng.random())))
 
-    specs: list = []
-    states: list = []
+    components: list = []
     fixed_part = 1.0 if logical else 0.0
-    for label_indices, key_tuples in grouped:
-        comp_learnable = tuple(sorted(key_tuples & learnable))
+    for label_indices, keys in grouped:
         comp_labels = [labels[i] for i in label_indices]
-        # fixed probabilities for every tuple the component's formulas mention
-        comp_tuples: set = set()
-        for lab in comp_labels:
-            comp_tuples |= tuple_set(lab.formula)
-        comp_fixed = {t: fixed[t] for t in comp_tuples if t in fixed}
+        mentioned = frozenset().union(*(tuple_set(lab.formula) for lab in comp_labels))
+        tuples = tuple(sorted(keys & learnable))
         if logical:
-            formulas = (logical_conjunction(comp_labels),)
+            formulas = (And(*(asserted[i] for i in label_indices)),)
         else:
             formulas = tuple(lab.formula for lab in comp_labels)
-        index = len(specs)
-        spec = _CompSpec(
-            index=index,
-            tuples=comp_learnable,
-            start_p=tuple(init_p[t] for t in comp_learnable),
+        comp = _Component(
+            index=len(components),
+            tuples=tuples,
+            start_p=tuple(init_p[t] for t in tuples),
             formulas=formulas,
             label_indices=label_indices,
             targets=tuple(lab.target for lab in comp_labels),
             label_weights=tuple(label_weights[i] for i in label_indices),
-            fixed=comp_fixed,
+            fixed={t: problem.db.probability(t) for t in sorted(mentioned - learnable)},
             cfg=cfg,
+            rng=np.random.default_rng(children[len(components) + 1]),
         )
-        if not comp_learnable:
-            # logical keysets keep fixed tuples and keyless labels form groups
-            # of their own, so a group may have no learnable tuple: its part
-            # is a constant
-            probs = list(comp_fixed.values())
-            part = _part(spec, [_run(ops, probs) for ops in _compile(spec)[0]])
-            fixed_part = fixed_part * part if logical else fixed_part + part
+        if tuples:
+            components.append(comp)
             continue
-        n_rates = 1 if cfg.optimizer in ("sgd-single", "gd") else len(comp_learnable)
-        state = _CompState(
-            weights=[logit(init_p[t]) for t in comp_learnable],
-            rates=[RATE_INIT] * n_rates,
-            rng=np.random.default_rng(children[index + 1]),
-            accepted_log=[] if cfg.record_accepted else None,
-        )
-        specs.append(spec)
-        states.append(state)
+        # logical keysets keep fixed tuples and keyless labels form groups of
+        # their own, so a group may have no learnable tuple: its part is a
+        # constant, and it takes no index
+        part = comp.start()
+        if isinstance(part, IntractableFormulaError):
+            raise part
+        fixed_part = fixed_part * part if logical else fixed_part + part
 
-    values: list = []
-    done: list = [False] * len(specs)
-
-    def combine() -> float:
+    def combine(values) -> float:
         if logical:
             out = fixed_part
             for value in values:
@@ -835,28 +751,23 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
             return value >= 1.0 - cfg.eps_abs
         return value <= cfg.eps_abs
 
-    # every component lives in one place for the whole run: in this process,
-    # or in the worker of its slot, which compiles it, initializes it and
-    # runs all of its passes
-    n_slots = max(1, min(cfg.threads, len(specs)))
-    slots = [list(range(k, len(specs), n_slots)) for k in range(n_slots)]
-    members = list(zip(specs, states))
-    workers = _Workers(slots, members) if len(slots) > 1 else None
-    owner = workers or _Resident(members)
-
+    # every component lives in one process for the whole run: this one, or
+    # the worker of its slot, which compiles it and runs all of its passes
+    n_slots = max(1, min(cfg.threads, len(components)))
+    workers = _Workers([components[k::n_slots] for k in range(n_slots)])
+    everyone = range(len(components))
     try:
-        started = owner.start()
-        for index in range(len(specs)):
+        started = workers.start()
+        for index in everyone:
             if isinstance(started[index], IntractableFormulaError):
                 raise started[index]
-            values.append(started[index])
 
-        best = combine()
+        best = combine(started[index] for index in everyone)
         trace = [(0, best, elapsed_ms())]
         status = STATUS_MAX_ITERATIONS
         iterations = 0
 
-        if satisfied(best) or not specs:
+        if satisfied(best) or not components:
             if satisfied(best):
                 status = STATUS_ABS
             elif cfg.eps_rel > 0:
@@ -865,11 +776,8 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
         else:
             prev = best
             for outer in range(1, cfg.max_outer_iterations + 1):
-                stepped = owner.call("step", [not d for d in done])
-                for index, (value, finished) in stepped.items():
-                    values[index] = value
-                    done[index] = finished
-                best = combine()
+                stepped = workers.call("step")
+                best = combine(stepped[index][0] for index in everyone)
                 iterations = outer
                 trace.append((outer, best, elapsed_ms()))
                 if satisfied(best):
@@ -880,26 +788,24 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
                 if improvement < cfg.eps_rel * scale:
                     status = STATUS_REL
                     break
-                if all(done):
+                if all(done for _, done in stepped.values()):
                     # every rate hit the floor with nothing accepted: stalled
                     status = STATUS_REL if cfg.eps_rel > 0 else STATUS_MAX_ITERATIONS
                     break
                 prev = best
-        final = owner.call("states", [True] * len(specs))
-        states = [final[index] for index in range(len(specs))]
+        final = workers.call("result")
     finally:
-        if workers is not None:
-            workers.close()
+        workers.close()
 
     # in sorted tuple order; tuples in no component keep their initial value
     probabilities = dict(init_p)
-    for spec, state in zip(specs, states):
-        for i, t in enumerate(spec.tuples):
-            probabilities[t] = expit(state.weights[i])
+    for comp in components:
+        for t, w in zip(comp.tuples, final[comp.index][0]):
+            probabilities[t] = expit(w)
 
     accepted = None
     if cfg.record_accepted:
-        accepted = tuple(v for state in states for v in state.accepted_log or ())
+        accepted = tuple(v for index in everyone for v in final[index][1])
     return LearnResult(
         probabilities=probabilities,
         best=best,

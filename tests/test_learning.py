@@ -1,5 +1,6 @@
 """Objectives, gradients, and the accept/reject learner."""
 
+import gc
 import math
 import multiprocessing
 
@@ -16,6 +17,7 @@ from pdblearn import (
     Label,
     LearnerConfig,
     LearningProblem,
+    MissingProbabilityError,
     NonBooleanLabelError,
     Not,
     Or,
@@ -421,6 +423,26 @@ class TestLearn:
         with pytest.raises(DanglingReferenceError):
             learn(LearningProblem(db, (), learnable=frozenset({tid(9)})))
 
+    def test_missing_probability_names_the_first_tuple_in_sorted_order(self):
+        # tuples 2 and 3 are neither learnable here nor known
+        db = ProbabilisticDatabase()
+        for i in (1, 2, 3):
+            db.add(tid(i))
+        labels = (Label(And(v(3), v(1), v(2)), 0.5),)
+        problem = LearningProblem(db, labels, learnable=frozenset({tid(1)}))
+        with pytest.raises(MissingProbabilityError) as err:
+            learn(problem)
+        assert err.value.tuple_id == tid(2)
+
+    def test_logical_learn_names_the_first_non_boolean_label(self):
+        # label 1 sits in the first component, but label 0 comes first
+        db = ProbabilisticDatabase()
+        for i in (1, 5):
+            db.add(tid(i))
+        labels = (Label(v(5), 0.5), Label(v(1), 0.4))
+        with pytest.raises(NonBooleanLabelError, match="^label 0 target 0.5 "):
+            learn(LearningProblem(db, labels), LearnerConfig(objective="logical"))
+
     @pytest.mark.property
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -593,9 +615,29 @@ class TestLearn:
             assert other.status == runs[0].status
             assert other.accepted == runs[0].accepted
 
+    def test_a_parallel_run_keeps_the_callers_frozen_heap(self):
+        # the fork freezes the heap for the workers' sake; a parallel run
+        # unfreezes it afterwards only if the caller had frozen nothing
+        inst = gen_synthetic_srl(200, seed=3, n_tuples=40, blocks=4)
+        problem = LearningProblem(inst.db, inst.labels)
+        cfg = LearnerConfig(max_outer_iterations=1, threads=2)
+        was_frozen = gc.get_freeze_count()
+        try:
+            if not was_frozen:
+                learn(problem, cfg)
+                assert gc.get_freeze_count() == 0
+            gc.freeze()
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            learn(problem, cfg)
+            assert gc.get_freeze_count() >= frozen
+        finally:
+            if not was_frozen:
+                gc.unfreeze()
+
     def test_spawned_workers_match_the_serial_run(self, monkeypatch):
         # where fork is missing, workers are spawned and get their components
-        # pickled instead of inherited
+        # pickled, with their fixed tuples and RNG streams, instead of inherited
         real = multiprocessing.get_context
 
         def without_fork(method=None):
@@ -603,17 +645,37 @@ class TestLearn:
                 raise ValueError("cannot find context for 'fork'")
             return real("spawn")
 
-        inst = gen_synthetic_srl(200, seed=3, n_tuples=40, blocks=4)
-        cfg = dict(eps_abs=0.0, eps_rel=0.0, max_outer_iterations=8, seed=2,
-                   record_accepted=True)
-        serial = learn(LearningProblem(inst.db, inst.labels), LearnerConfig(**cfg))
-        monkeypatch.setattr(learning.multiprocessing, "get_context", without_fork)
-        spawned = learn(
-            LearningProblem(inst.db, inst.labels), LearnerConfig(threads=2, **cfg)
-        )
-        assert spawned.probabilities == serial.probabilities
-        assert spawned.best == serial.best
-        assert spawned.accepted == serial.accepted
+        srl = gen_synthetic_srl(200, seed=3, n_tuples=40, blocks=4)
+        # four components, each joined by a fixed tuple of its own, and a
+        # label over a fixed tuple alone, which touches no learnable tuple
+        db = ProbabilisticDatabase()
+        labels, first = [], 0
+        for k, size in enumerate((1, 2, 3, 2)):
+            db.add(tid(100 + k), 0.5 + 0.1 * k)
+            ids = range(first, first + size + 1)
+            for i in ids:
+                db.add(tid(i))
+            labels.append(Label(Or(v(100 + k), And(*map(v, ids))), 1.0))
+            labels.append(Label(And(v(100 + k), Or(*map(v, ids))), float(k % 2)))
+            first += size + 1
+        db.add(tid(104), 0.8)
+        labels.append(Label(v(104), 1.0))
+        cases = [
+            (LearningProblem(srl.db, srl.labels), "mse"),
+            (LearningProblem(db, tuple(labels)), "mse"),
+            (LearningProblem(db, tuple(labels)), "logical"),
+        ]
+        for problem, objective in cases:
+            cfg = dict(objective=objective, eps_abs=0.0, eps_rel=0.0,
+                       max_outer_iterations=8, seed=2, record_accepted=True)
+            serial = learn(problem, LearnerConfig(**cfg))
+            with monkeypatch.context() as patched:
+                patched.setattr(learning.multiprocessing, "get_context", without_fork)
+                spawned = learn(problem, LearnerConfig(threads=2, **cfg))
+            assert spawned.probabilities == serial.probabilities
+            assert spawned.best == serial.best
+            assert [r[:2] for r in spawned.trace] == [r[:2] for r in serial.trace]
+            assert spawned.accepted == serial.accepted
 
     @pytest.mark.parametrize("objective, optimizer", VARIANTS)
     @pytest.mark.property

@@ -9,7 +9,8 @@ script takes no options and uses only long-standing public API, so it runs
 against an older ``src`` through ``PYTHONPATH`` as it is.  It covers:
 
 * 12-pass ``learn`` on ``gen_synthetic_srl(10000, n_tuples=1000, blocks=4)``
-  with each optimizer at threads 1 and 2;
+  with each optimizer at threads 1, 2 and 4 (the calling process and three
+  workers);
 * mse and logical ``learn`` with each optimizer on three encoded
   8-variable, 15-clause 3SAT instances, run to ``eps_abs`` or 150 passes;
 * ``solve_3sat`` on 15 seeded 8-variable, 15-clause CNFs;
@@ -21,7 +22,7 @@ against an older ``src`` through ``PYTHONPATH`` as it is.  It covers:
 For each run it prints the status, the iteration count, ``best``, the trace
 objectives, the accepted objective parts (``record_accepted=True``; not
 exposed by ``solve_3sat``) and the learned probabilities in sorted tuple
-order.  It takes about a minute on a 2-CPU host.
+order.  It takes about half a minute on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def main():
     srl = gen_synthetic_srl(10000, n_tuples=1000, blocks=4)
     problem = LearningProblem(srl.db, srl.labels)
     for optimizer in OPTIMIZERS:
-        for threads in (1, 2):
+        for threads in (1, 2, 4):
             cfg = LearnerConfig(
                 optimizer=optimizer,
                 eps_abs=0.0,
