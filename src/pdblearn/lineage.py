@@ -6,6 +6,7 @@ constructors canonicalize eagerly:
 
 * constant folding (``!true -> false``, an ``&`` containing ``false`` -> ``false``, ...),
 * double-negation elimination,
+* one ``Var`` per tuple, held weakly,
 * flattening of nested conjunctions/disjunctions,
 * structural deduplication of equal children,
 * children sorted by a deterministic structural key.
@@ -34,6 +35,7 @@ tighter than ``|``.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -84,9 +86,10 @@ class TupleId:
     key: tuple
 
     def __post_init__(self):
+        if not isinstance(self.relation, str):
+            raise TypeError(f"tuple relation must be str, got {self.relation!r}")
         object.__setattr__(self, "key", tuple(self.key))
-        for value in self.key:
-            _arg_rank(value)
+        # _arg_rank also validates each argument
         object.__setattr__(
             self,
             "sort_key",
@@ -205,17 +208,32 @@ TRUE = Constant(True)
 FALSE = Constant(False)
 
 
+# TupleId -> its live Var; an entry goes when its node does
+_VARS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class Var(LineageFormula):
-    """A single base-tuple event."""
+    """A single base-tuple event.
+
+    There is one ``Var`` per tuple, held weakly: while a ``Var`` of a tuple
+    is alive, ``Var`` of any equal ``TupleId`` returns that same node, and
+    the registry keeps no node alive.  The node keeps the first ``TupleId``
+    object it was built from, so ``Var(t).tuple_id == t`` holds but
+    ``Var(t).tuple_id is t`` may not.  Unpickling and copying go through
+    this constructor too, so they return the process's live node.
+    """
 
     def __new__(cls, tuple_id: TupleId):
         if not isinstance(tuple_id, TupleId):
             raise TypeError(f"Var expects a TupleId, got {tuple_id!r}")
-        self = object.__new__(cls)
-        self.tuple_id = tuple_id
-        self._tuples = frozenset((tuple_id,))
-        self._skey = (0, tuple_id.sort_key)
-        self._hash = hash(("lineage-var", tuple_id))
+        self = _VARS.get(tuple_id)
+        if self is None:
+            self = object.__new__(cls)
+            self.tuple_id = tuple_id
+            self._tuples = frozenset((tuple_id,))
+            self._skey = (0, tuple_id.sort_key)
+            self._hash = hash(("lineage-var", tuple_id))
+            _VARS[tuple_id] = self
         return self
 
     def __reduce__(self):

@@ -1,5 +1,8 @@
 """Formula ADT: construction, canonical forms, worlds, parsing."""
 
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,6 +17,7 @@ from pdblearn import (
     Var,
     evaluate,
     format_formula,
+    gen_synthetic_srl,
     parse_formula,
     substitute,
     tuple_set,
@@ -60,6 +64,62 @@ class TestTupleId:
 
     def test_mixed_arg_types_do_not_collide(self):
         assert TupleId("r", (1,)) != TupleId("r", ("1",))
+
+    @pytest.mark.parametrize("relation", [5, None, ("r",)])
+    def test_relation_must_be_a_string(self, relation):
+        with pytest.raises(TypeError, match="tuple relation must be str"):
+            TupleId(relation, (1,))
+
+    def test_bad_argument_is_named(self):
+        with pytest.raises(TypeError, match=r"must be int or str, got 1\.5"):
+            TupleId("r", (1, 1.5, None))
+
+
+def leaves(formulas):
+    """Every Var node reachable from ``formulas``, one entry per object."""
+    found, stack = {}, list(formulas)
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Var):
+            found[id(f)] = f
+        elif isinstance(f, Not):
+            stack.append(f.child)
+        elif isinstance(f, (And, Or)):
+            stack.extend(f.children)
+    return list(found.values())
+
+
+class TestVarInterning:
+    def test_equal_tuple_ids_give_the_same_node(self):
+        first = Var(TupleId("intern", (1, "x")))
+        assert Var(TupleId("intern", (1, "x"))) is first
+        assert Var(TupleId("intern", (2, "x"))) is not first
+
+    def test_the_registry_holds_no_node_alive(self):
+        ref = weakref.ref(Var(TupleId("intern_weak", (1,))))
+        assert ref() is None
+        fresh = Var(TupleId("intern_weak", (1,)))
+        assert fresh.tuple_id == TupleId("intern_weak", (1,))
+        assert Var(TupleId("intern_weak", (1,))) is fresh
+
+    def test_unpickling_returns_the_live_nodes(self):
+        live = [v(1), v(2), v(3)]
+        phi = Or(And(v(1), Not(v(2))), v(3))
+        back = pickle.loads(pickle.dumps(phi))
+        assert back == phi
+        assert {id(leaf) for leaf in leaves([back])} == {id(leaf) for leaf in live}
+
+    @pytest.mark.parametrize("bad", ["x", ["x"], None])
+    def test_non_tuple_ids_are_refused(self, bad):
+        with pytest.raises(TypeError) as err:
+            Var(bad)
+        assert str(err.value) == f"Var expects a TupleId, got {bad!r}"
+
+    def test_generated_labels_share_one_node_per_tuple(self):
+        srl = gen_synthetic_srl(2000, n_tuples=200)
+        found = leaves(lab.formula for lab in srl.labels)
+        assert len(found) == 200
+        assert len({leaf.tuple_id for leaf in found}) == 200
 
 
 class TestCanonicalForms:

@@ -12,18 +12,26 @@ side, at seed 100, for the per-layer metrics and the figures of its record,
 such as layer self times that are not gated metrics.
 
 The output holds the host (CPU count from ``os.sched_getaffinity``, Python
-version, CPU model), each side's git revision, every run's result line and,
-per workload and end-to-end metric, each side's median and quartiles, the
-relative change of the medians and the number of pairs the after side won.
+version, CPU model), each side's git revision and benchmark digest, every
+run's result line and, per workload and end-to-end metric, each side's
+median and quartiles, the relative change of the medians and the number of
+pairs the after side won.
 A metric's ``gain`` says whether the after side won at least nine tenths of
 the pairs and its median moved by more than the before side's quartile
 spread; ``within_bound`` compares the medians against the metric's bound in
 ``BENCHMARK.json``.
+
+A side's benchmark digest is a SHA-256 over its ``BENCHMARK.json`` and every
+file under its ``perfbench/``, leaving out run outputs (``perfbench/out/``)
+and bytecode caches.  ``same_benchmark`` says whether the two digests match;
+when they do not, the script warns on stderr, because a gain is only shown
+by the same benchmark run on both sides.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -45,6 +53,21 @@ def revision(checkout: Path) -> str:
     dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
                            cwd=checkout, capture_output=True, text=True).stdout.strip()
     return proc.stdout.strip() + ("-dirty" if dirty else "")
+
+
+def benchmark_digest(checkout: Path) -> str:
+    files = [checkout / "BENCHMARK.json"]
+    for path in (checkout / "perfbench").rglob("*"):
+        parts = path.relative_to(checkout).parts
+        if path.is_file() and parts[1] != "out" and "__pycache__" not in parts:
+            files.append(path)
+    digest = hashlib.sha256()
+    for path in sorted(files, key=lambda p: p.relative_to(checkout).as_posix()):
+        name = path.relative_to(checkout).as_posix().encode()
+        data = path.read_bytes()
+        for chunk in (name, data):
+            digest.update(len(chunk).to_bytes(8, "big") + chunk)
+    return digest.hexdigest()
 
 
 def cpu_model() -> str:
@@ -111,6 +134,11 @@ def main(argv=None) -> int:
     bench = json.loads((after / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     bounds = {m["name"]: m for m in bench["end_to_end"]}
+    digests = {"before": benchmark_digest(before), "after": benchmark_digest(after)}
+    if digests["before"] != digests["after"]:
+        print(f"warning: the two sides run different benchmarks (BENCHMARK.json or "
+              f"perfbench/ differ): before {digests['before'][:12]}, "
+              f"after {digests['after'][:12]}", file=sys.stderr)
 
     report = {
         "command": " ".join([Path(sys.argv[0]).name, *(argv or sys.argv[1:])]),
@@ -122,6 +150,9 @@ def main(argv=None) -> int:
         },
         "before_revision": revision(before),
         "after_revision": revision(after),
+        "before_benchmark_sha256": digests["before"],
+        "after_benchmark_sha256": digests["after"],
+        "same_benchmark": digests["before"] == digests["after"],
         "seconds": seconds,
         "workloads": {},
     }

@@ -11,6 +11,10 @@ against an older ``src`` through ``PYTHONPATH`` as it is.  It covers:
 * 12-pass ``learn`` on ``gen_synthetic_srl(10000, n_tuples=1000, blocks=4)``
   with each optimizer at threads 1, 2 and 4 (the calling process and three
   workers);
+* 12-pass ``learn`` with each optimizer at threads 1 and 2 on the labels of
+  ``gen_synthetic_srl(2000, n_tuples=200, blocks=2)``, each rebuilt with
+  ``parse_formula(format_formula(...))``, so every literal arrives with a
+  ``TupleId`` object of its own;
 * mse and logical ``learn`` with each optimizer on three encoded
   8-variable, 15-clause 3SAT instances, run to ``eps_abs`` or 150 passes;
 * ``solve_3sat`` on 15 seeded 8-variable, 15-clause CNFs;
@@ -41,8 +45,10 @@ from pdblearn import (
     TupleId,
     Var,
     encode_3sat,
+    format_formula,
     gen_synthetic_srl,
     learn,
+    parse_formula,
     prob_exact,
     random_3sat,
     solve_3sat,
@@ -63,6 +69,20 @@ def show(name, result):
             print(float(value).hex())
     for t in sorted(result.probabilities):
         print(t, float(result.probabilities[t]).hex())
+
+
+def srl_runs(name, problem, threads):
+    for optimizer in OPTIMIZERS:
+        for n in threads:
+            cfg = LearnerConfig(
+                optimizer=optimizer,
+                eps_abs=0.0,
+                eps_rel=0.0,
+                max_outer_iterations=12,
+                threads=n,
+                record_accepted=True,
+            )
+            show(f"{name} {optimizer} threads={n}", learn(problem, cfg))
 
 
 def with_fixed_tuples(seed, boolean, estimates=False):
@@ -105,18 +125,14 @@ def with_fixed_tuples(seed, boolean, estimates=False):
 
 def main():
     srl = gen_synthetic_srl(10000, n_tuples=1000, blocks=4)
-    problem = LearningProblem(srl.db, srl.labels)
-    for optimizer in OPTIMIZERS:
-        for threads in (1, 2, 4):
-            cfg = LearnerConfig(
-                optimizer=optimizer,
-                eps_abs=0.0,
-                eps_rel=0.0,
-                max_outer_iterations=12,
-                threads=threads,
-                record_accepted=True,
-            )
-            show(f"srl {optimizer} threads={threads}", learn(problem, cfg))
+    srl_runs("srl", LearningProblem(srl.db, srl.labels), (1, 2, 4))
+
+    srl = gen_synthetic_srl(2000, n_tuples=200, blocks=2)
+    parsed = tuple(
+        Label(parse_formula(format_formula(lab.formula)), lab.target, lab.weight)
+        for lab in srl.labels
+    )
+    srl_runs("parsed srl", LearningProblem(srl.db, parsed), (1, 2))
 
     for seed in range(3):
         db, labels = encode_3sat(random_3sat(8, 15, seed=seed), 8)
