@@ -26,9 +26,14 @@ of distinct nodes one call decides, and a formula that needs more raises
 fails after a bounded amount of work instead of enumerating worlds.
 The routine emits one operation per node, children first, into a flat list,
 the only compiled form of a formula (a circuit, as in Darwiche, JACM 2003).
-``compile_probability`` returns a callable that runs the list once over a
-probability map, computing each node once in one loop, and ``prob_exact``
-compiles and calls it once.  ``derivative`` compiles the two pinned formulas.
+A pass over that list (``_fold``) then turns each conjunction or disjunction
+whose children are all literals, a tuple or its negation, into one literal
+operation that reads the literals' probabilities straight from the map, and
+drops the leaves and negations nothing else reads: the same IEEE operations
+in the same order, so the values are bit-identical.  ``compile_probability``
+returns a callable that runs the list once over a probability map, computing
+each node once in one loop, and ``prob_exact`` compiles and calls it once.
+``derivative`` compiles the two pinned formulas.
 
 Memoization is call-local on canonical subformulas.  Across formulas,
 ``_compile_shared`` decomposes each shape once, the same caching applied
@@ -166,8 +171,9 @@ def _shannon_tuple(children: Sequence[LineageFormula]) -> TupleId:
     return min(t for t, c in counts.items() if c == top)
 
 
-# operation codes; each operation is (code, tuple or constant, child indices)
-_CONST, _LEAF, _NEG, _AND, _OR, _DISJOINT, _SHANNON = range(7)
+# operation codes; each operation is (code, tuple or constant, child indices),
+# except that a literal operation is (code, positive tuples, negated tuples)
+_CONST, _LEAF, _NEG, _AND, _OR, _DISJOINT, _SHANNON, _LITAND, _LITOR = range(9)
 _ON_TUPLES = (_LEAF, _SHANNON)  # the codes whose argument is a tuple
 
 
@@ -228,6 +234,56 @@ def _decompose(phi: LineageFormula) -> tuple:
     return tuple(ops)
 
 
+def _fold(ops: tuple) -> tuple:
+    """ops with each conjunction or disjunction of literals as one operation.
+
+    A node folds when every child is a leaf or the negation of a leaf and the
+    positive literals come before the negated ones, as canonical order puts
+    them.  ``(_LITAND, positive, negated)`` multiplies ``p[t]`` over the
+    positive tuples, then ``1.0 - p[t]`` over the negated ones, and
+    ``_LITOR`` multiplies ``1.0 - p[t]``, then ``1.0 - (1.0 - p[t])``, and
+    takes one minus the product: the IEEE operations that the node and its
+    children ran, in their order, so every value is bit-identical.
+    Operations that nothing reads any more are dropped and the child indices
+    renumbered; the root stays last.
+    """
+    literal: dict = {}  # index of a leaf or a negated leaf -> (tuple, negated)
+    folded: dict = {}  # index of a folded node -> its literal operation
+    for at, (code, arg, kids) in enumerate(ops):
+        if code == _LEAF:
+            literal[at] = (arg, False)
+        elif code == _NEG:
+            child = ops[kids[0]]
+            if child[0] == _LEAF:
+                literal[at] = (child[1], True)
+        elif code == _AND or code == _OR:
+            pos, neg = [], []
+            for k in kids:
+                lit = literal.get(k)
+                if lit is None or (neg and not lit[1]):
+                    break  # a compound child, or a positive literal after a negated
+                (neg if lit[1] else pos).append(lit[0])
+            else:
+                code = _LITAND if code == _AND else _LITOR
+                folded[at] = (code, tuple(pos), tuple(neg))
+    if not folded:
+        return ops
+    read = [False] * len(ops)
+    read[-1] = True
+    for at in range(len(ops) - 1, -1, -1):
+        if read[at] and at not in folded:
+            for k in ops[at][2]:
+                read[k] = True
+    renumber = [0] * len(ops)
+    out = []
+    for at, (code, arg, kids) in enumerate(ops):
+        if read[at]:
+            renumber[at] = len(out)
+            op = folded.get(at) or (code, arg, tuple([renumber[k] for k in kids]))
+            out.append(op)
+    return tuple(out)
+
+
 _SORT_KEY = attrgetter("sort_key")
 
 
@@ -263,16 +319,21 @@ def _shape(phi: LineageFormula) -> tuple:
 
 
 def _relabel(ops: tuple, new, made: dict) -> tuple:
-    """ops with the tuple t of each leaf and Shannon node replaced by new[t].
+    """ops with each tuple t that an operation reads replaced by new[t].
 
-    Each such operation is taken from ``made`` if an equal one is there, and
-    added to it otherwise.
+    A leaf or Shannon node is taken from ``made`` if an equal one is there,
+    and added to it otherwise; a literal operation maps its positive and its
+    negated tuples.
     """
     out = []
     for op in ops:
-        if op[0] in _ON_TUPLES:
-            op = (op[0], new[op[1]], op[2])
+        code = op[0]
+        if code in _ON_TUPLES:
+            op = (code, new[op[1]], op[2])
             op = made.setdefault(op, op)
+        elif code == _LITAND or code == _LITOR:
+            get = new.__getitem__
+            op = (code, tuple(map(get, op[1])), tuple(map(get, op[2])))
         out.append(op)
     return tuple(out)
 
@@ -282,59 +343,85 @@ def _compile_shared(
 ) -> Iterator[tuple]:
     """Each formula's operations and its tuples' slots; one decomposition per shape.
 
-    The first formula of a shape key is decomposed; every later one takes
-    those operations with its own tuples mapped in by rank.  In the lists
-    yielded, a leaf or Shannon node on tuple t holds ``slot[t]``, so ``_run``
-    reads it from a list indexed by slot.  Equal operations are one object,
-    so the formulas that read a slot share its leaf.  The slots come in
-    sorted tuple order and cover every tuple of the formula, also one that
-    its operations no longer read.  An intractable formula raises when it is
-    reached, after the pairs of the formulas before it.
+    The first formula of a shape key is decomposed and folded (``_fold``);
+    every later one takes those operations with its own tuples mapped in by
+    rank.  In the lists yielded, a leaf or Shannon node on tuple t holds
+    ``slot[t]``, and a literal operation the slots of its positive and of its
+    negated tuples, so ``_run`` reads them from a list indexed by slot.
+    Equal leaves and Shannon nodes are one object, so the formulas that read
+    a slot share its leaf.  The slots come in sorted tuple order and cover
+    every tuple of the formula, also one that its operations no longer read.
+    An intractable formula raises when it is reached, after the pairs of the
+    formulas before it.
     """
     shapes: dict = {}  # shape key -> operations whose tuples are ranks
-    made: dict = {}  # every operation on a slot, kept once
+    made: dict = {}  # every leaf and Shannon node on a slot, kept once
     for phi in formulas:
         key, ordered = _shape(phi)
         ops = shapes.get(key)
         if ops is None:
             rank = {t: r for r, t in enumerate(ordered)}
-            ops = shapes[key] = _relabel(_decompose(phi), rank, {})
+            ops = shapes[key] = _relabel(_fold(_decompose(phi)), rank, {})
         slots = [slot[t] for t in ordered]
         yield _relabel(ops, slots, made), slots
 
 
-def _run(ops: tuple, p: Mapping[TupleId, float]) -> float:
-    """P of the compiled formula under ``p``, computing each operation once.
+def _run(lists: tuple, p) -> list:
+    """P of each compiled formula in ``lists`` under ``p``, in order.
 
-    ``p`` is indexed by the leaves' arguments: a map keyed by tuple, or a
-    list keyed by slot for the operations of ``_compile_shared``.
+    Each formula's operations are computed once, children first.  ``p`` is
+    indexed by the tuples the operations read: a map keyed by tuple, or a
+    list keyed by slot for the operations of ``_compile_shared``.  A literal
+    operation reads its tuples' probabilities from ``p`` itself, so it needs
+    no leaf operations.
     """
-    vals: list = []
-    for code, arg, kids in ops:  # the most frequent codes are tested first
-        if code == _LEAF:
-            out = p[arg]
-        elif code == _SHANNON:
-            x = p[arg]
-            out = x * vals[kids[0]] + (1.0 - x) * vals[kids[1]]
-        elif code == _AND:
-            out = 1.0
-            for k in kids:
-                out *= vals[k]
-        elif code == _OR:
-            out = 1.0
-            for k in kids:
-                out *= 1.0 - vals[k]
-            out = 1.0 - out
-        elif code == _DISJOINT:
-            out = 0.0
-            for k in kids:
-                out += vals[k]
-        elif code == _NEG:
-            out = 1.0 - vals[kids[0]]
-        else:
-            out = arg
-        vals.append(out)
-    return out  # the root's value: it is the last operation
+    values = []
+    for ops in lists:
+        vals: list = []
+        for code, arg, kids in ops:  # the most frequent codes are tested first
+            if code == _LEAF:
+                out = p[arg]
+            elif code == _SHANNON:
+                x = p[arg]
+                out = x * vals[kids[0]] + (1.0 - x) * vals[kids[1]]
+            elif code == _LITAND:  # arg and kids: positive and negated tuples
+                out = 1.0
+                for t in arg:
+                    out *= p[t]
+                for t in kids:
+                    out *= 1.0 - p[t]
+            elif code == _OR:
+                out = 1.0
+                for k in kids:
+                    out *= 1.0 - vals[k]
+                out = 1.0 - out
+            elif code == _AND:
+                out = 1.0
+                for k in kids:
+                    out *= vals[k]
+            elif code == _LITOR:
+                out = 1.0
+                for t in arg:
+                    out *= 1.0 - p[t]
+                for t in kids:
+                    out *= 1.0 - (1.0 - p[t])
+                out = 1.0 - out
+            elif code == _DISJOINT:
+                out = 0.0
+                for k in kids:
+                    out += vals[k]
+            elif code == _NEG:
+                out = 1.0 - vals[kids[0]]
+            else:
+                out = arg
+            vals.append(out)
+        values.append(out)  # the root's value: it is the last operation
+    return values
+
+
+def _value(ops: tuple, p) -> float:
+    """P of one compiled formula under ``p``."""
+    return _run((ops,), p)[0]
 
 
 def compile_probability(
@@ -348,7 +435,7 @@ def compile_probability(
     the exact partial derivative as the difference.  It keeps no state
     between calls and pickles.
     """
-    return partial(_run, _decompose(phi))
+    return partial(_value, _fold(_decompose(phi)))
 
 
 def prob_exact(phi: LineageFormula, p: Mapping[TupleId, float]) -> float:

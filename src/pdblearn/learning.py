@@ -317,19 +317,20 @@ def _clamp(w: float) -> float:
     return w
 
 
-def _pin(probs: list, idx: int, compiled, touched) -> tuple:
-    """The touched formulas' values with tuple idx's p pinned to 0, then to 1.
+def _pin(probs: list, idx: int, lists: tuple) -> tuple:
+    """The values of ``lists`` with tuple idx's p pinned to 0, then to 1.
 
-    ``probs`` is the component's probability list and ``compiled`` its
-    operation lists, which read it by slot; tuple idx is slot idx.  P is
-    multilinear in that p, so the two lists give its value anywhere on that
-    line, and their difference the exact partial derivative.
+    ``probs`` is the component's probability list and ``lists`` the operation
+    lists of the formulas that mention tuple idx, which read it by slot;
+    tuple idx is slot idx.  P is multilinear in that p, so the two value
+    lists give its value anywhere on that line, and their difference the
+    exact partial derivative.
     """
     p_t = probs[idx]
     probs[idx] = 0.0
-    lows = [_run(compiled[i], probs) for i in touched]
+    lows = _run(lists, probs)
     probs[idx] = 1.0
-    highs = [_run(compiled[i], probs) for i in touched]
+    highs = _run(lists, probs)
     probs[idx] = p_t
     return lows, highs
 
@@ -376,9 +377,11 @@ class _Component:
         tuples take slots 0 to n-1 in ``tuples`` order, then the fixed tuples
         follow in sorted order.  The incidence lists, per learnable tuple, the
         formulas that mention it, in order; for logical it is [0] for every
-        tuple.  An intractable formula's error names its label, or the labels
-        of the logical conjunction; it is returned, not raised, so that the
-        caller can report the first component's.  The initial values come
+        tuple.  ``touched_ops`` holds, per learnable tuple, those formulas'
+        operation lists as one tuple, which ``_pin`` runs in one call.  An
+        intractable formula's error names its label, or the labels of the
+        logical conjunction; it is returned, not raised, so that the caller
+        can report the first component's.  The initial values come
         from the compiled forms, the same polynomials every later pass
         evaluates, with the tuples at ``start_p``.  The passes then read
         expit of each weight from the probability list.
@@ -400,8 +403,9 @@ class _Component:
                 where = f"label {self.label_indices[len(compiled)]}"
             return IntractableFormulaError(f"{where}: {exc}")
         self.compiled, self.incidence = tuple(compiled), incidence
+        self.touched_ops = [tuple([compiled[i] for i in idxs]) for idxs in incidence]
         probs = [*self.start_p, *self.fixed.values()]
-        self.label_p = [_run(ops, probs) for ops in compiled]  # P per formula
+        self.label_p = _run(self.compiled, probs)  # P per formula
         self.value = self._part(self.label_p)
         probs[:n] = [expit(w) for w in self.weights]
         self.probs = probs
@@ -467,7 +471,7 @@ class _Component:
         per_tuple = self.cfg.optimizer == "sgd-per-tuple"
         n = len(self.tuples)
         weights, rates, label_p = self.weights, self.rates, self.label_p
-        probs, compiled, incidence = self.probs, self.compiled, self.incidence
+        probs, incidence, touched_ops = self.probs, self.incidence, self.touched_ops
         value = self.value
         steps = [0.0] * n
         kept = []  # the part after each accepted step
@@ -475,7 +479,7 @@ class _Component:
         for idx in order:
             touched = incidence[idx]
             p_t = probs[idx]
-            lows, highs = _pin(probs, idx, compiled, touched)
+            lows, highs = _pin(probs, idx, touched_ops[idx])
             grad = self._slope(label_p, touched, lows, highs)
             if gd:
                 steps[idx] = grad * p_t * (1.0 - p_t)
@@ -501,7 +505,7 @@ class _Component:
             rate = rates[0]
             w_new = [_clamp(weights[i] - rate * steps[i]) for i in range(n)]
             probs[:n] = [expit(w) for w in w_new]
-            trial_p = [_run(ops, probs) for ops in compiled]
+            trial_p = _run(self.compiled, probs)
             candidate = self._part(trial_p)
             grow = self._improves(candidate, value)
             if grow:
@@ -684,10 +688,9 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
     label_weights = _effective_weights(labels)
 
     # group labels into independently optimizable components
-    if logical:
-        keysets = [frozenset(tuple_set(lab.formula)) for lab in labels]
-    else:
-        keysets = [frozenset(tuple_set(lab.formula) & learnable) for lab in labels]
+    keysets = [tuple_set(lab.formula) for lab in labels]
+    if not logical:  # a label's own tuple set serves when all of it is learnable
+        keysets = [keys if keys <= learnable else keys & learnable for keys in keysets]
     # a label that no key reaches (logical: no tuple, mse: no learnable tuple)
     # is a group of its own, after the others
     grouped = _label_components(keysets)

@@ -384,6 +384,142 @@ def test_formulas_compiled_together_match_each_compiled_alone(seed):
     for _ in range(3):
         p = {t: float(rng.random()) for t in tuples}
         probs = [p[t] for t in reversed(tuples)]
-        for phi, ops in zip(formulas, together):
+        values = inference._run(tuple(together), probs)
+        assert len(values) == len(formulas)
+        for phi, value in zip(formulas, values):
             alone = compile_probability(phi)(p)
-            assert inference._run(ops, probs).hex() == alone.hex(), str(phi)
+            assert value.hex() == alone.hex(), str(phi)
+
+
+def _reference(ops, p):
+    """P from an unfolded operation list, one node at a time, as _decompose emits it."""
+    vals = []
+    for code, arg, kids in ops:
+        if code == inference._CONST:
+            out = arg
+        elif code == inference._LEAF:
+            out = p[arg]
+        elif code == inference._NEG:
+            out = 1.0 - vals[kids[0]]
+        elif code == inference._AND:
+            out = 1.0
+            for k in kids:
+                out *= vals[k]
+        elif code == inference._OR:
+            out = 1.0
+            for k in kids:
+                out *= 1.0 - vals[k]
+            out = 1.0 - out
+        elif code == inference._DISJOINT:
+            out = 0.0
+            for k in kids:
+                out += vals[k]
+        else:
+            assert code == inference._SHANNON
+            x = p[arg]
+            out = x * vals[kids[0]] + (1.0 - x) * vals[kids[1]]
+        vals.append(out)
+    return vals[-1]
+
+
+def _is_literal(op) -> bool:
+    return op[0] in (inference._LITAND, inference._LITOR)
+
+
+class TestLiteralOperations:
+    def test_conjunctions_and_disjunctions_of_literals_are_one_operation_each(self):
+        a, b, c, d, e, f = (v(i) for i in range(6))
+        two_terms = Or(And(a, b, Not(c)), And(d, Not(e), Not(f)))
+        assert len(compile_probability(two_terms).args[0]) == 3
+        assert len(compile_probability(Or(a, b, Not(c))).args[0]) == 1
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            # the group {a, a | b} is a compound child ahead of the literal c
+            And(v(1), Or(v(1), v(2)), v(3)),
+            # one group: a Shannon expansion, not a product of literals
+            And(v(1), Not(v(1))),
+            Or(v(1), Not(v(1))),
+        ],
+        ids=["compound-ahead-of-literal", "x-and-not-x", "x-or-not-x"],
+    )
+    def test_the_fold_leaves_other_nodes_alone(self, phi):
+        ops = inference._decompose(phi)
+        folded = inference._fold(ops)
+        root = folded[-1]
+        assert not _is_literal(root)
+        assert root[0] == ops[-1][0]
+        p = {t: 0.3 + 0.1 * k for k, t in enumerate(sorted(tuple_set(phi)))}
+        assert inference._run((folded,), p)[0].hex() == _reference(ops, p).hex()
+
+    def test_a_negated_literal_ahead_of_a_positive_one_does_not_fold(self):
+        # canonical order never emits this; folding it would reorder the product
+        ops = (
+            (inference._LEAF, tid(1), ()),
+            (inference._NEG, None, (0,)),
+            (inference._LEAF, tid(2), ()),
+            (inference._AND, None, (1, 2)),
+        )
+        assert inference._fold(ops) == ops
+
+    def test_a_leaf_read_elsewhere_is_kept(self):
+        # t(1) is a literal of the folded disjunction and a child of the
+        # conjunction above it, whose other child is compound
+        ops = (
+            (inference._LEAF, tid(1), ()),
+            (inference._LEAF, tid(2), ()),
+            (inference._OR, None, (0, 1)),
+            (inference._AND, None, (0, 2)),
+        )
+        folded = inference._fold(ops)
+        assert folded == (
+            (inference._LEAF, tid(1), ()),
+            (inference._LITOR, (tid(1), tid(2)), ()),
+            (inference._AND, None, (0, 1)),
+        )
+        p = {tid(1): 0.375, tid(2): 0.8125}
+        assert inference._run((folded,), p)[0].hex() == _reference(ops, p).hex()
+
+
+def _mixed_formulas(max_vars=7):
+    """Conjunctions and disjunctions whose children mix terms of literals with recipes.
+
+    Tuples repeat across children, so the decomposition groups and expands
+    them: the operation lists hold nodes that fold next to nodes with a
+    compound child, and terms such as x & !x.
+    """
+    literal = st.tuples(st.integers(0, max_vars - 1), st.booleans())
+    term = st.tuples(st.sampled_from("&|"), st.lists(literal, min_size=1, max_size=4))
+    child = st.one_of(term, term, recipes(max_vars=max_vars, max_leaves=5))
+    return st.tuples(st.sampled_from("&|"), st.lists(child, min_size=1, max_size=4))
+
+
+def _build_mixed(spec):
+    kind, children = spec
+    parts = []
+    for child in children:
+        if child[0] in "&|":
+            lits = [Not(v(i)) if negated else v(i) for i, negated in child[1]]
+            parts.append(And(*lits) if child[0] == "&" else Or(*lits))
+        else:
+            parts.append(build_formula(child))
+    return And(*parts) if kind == "&" else Or(*parts)
+
+
+@pytest.mark.property
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_mixed_formulas(), st.integers(0, 2**31 - 1))
+def test_folded_operations_match_the_unfolded_list_bit_for_bit(spec, seed):
+    phi = _build_mixed(spec)
+    ops = inference._decompose(phi)
+    folded = inference._fold(ops)
+    assert len(folded) <= len(ops)
+    assert not any(map(_is_literal, ops))
+    # probabilities near 0 and 1 too, where a reordered product or a step
+    # such as 1 - (1 - x) read as x changes the low bits of the result
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        p = {t: float(rng.random()) ** int(rng.choice([1, 8])) for t in tuple_set(phi)}
+        p = {t: 1.0 - x if rng.random() < 0.5 else x for t, x in p.items()}
+        assert inference._run((folded,), p)[0].hex() == _reference(ops, p).hex(), str(phi)

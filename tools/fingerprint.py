@@ -21,12 +21,15 @@ against an older ``src`` through ``PYTHONPATH`` as it is.  It covers:
 * mse and logical ``learn`` with each optimizer at threads 1 and 2, and one
   ``update_clean`` with a prior, on two seeded instances in which every third
   tuple is fixed, every fifth label mentions fixed tuples only and one label
-  mentions no tuple: the labels that no learnable tuple touches.
+  mentions no tuple: the labels that no learnable tuple touches;
+* mse and logical ``learn`` with each optimizer at threads 1 and 2 on labels
+  such as ``a & (b | !c) & !d`` and ``!a | b & c``, whose conjunctions and
+  disjunctions mix literals with compound children.
 
 For each run it prints the status, the iteration count, ``best``, the trace
 objectives, the accepted objective parts (``record_accepted=True``; not
 exposed by ``solve_3sat``) and the learned probabilities in sorted tuple
-order.  It takes about half a minute on a 2-CPU host.
+order.  It takes about half a minute (30 s) on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -123,6 +126,33 @@ def with_fixed_tuples(seed, boolean, estimates=False):
     return db, tuple(labels), learnable
 
 
+def mixed_children(seed):
+    """Labels whose conjunctions and disjunctions mix literals and compound children.
+
+    Each label takes four distinct tuples of one block of eight, out of five
+    blocks, as ``a & (b | !c) & !d`` or ``!a | b & c``.  Boolean targets are
+    read off one hidden world, so the logical conjunction stays satisfiable.
+    """
+    n_blocks, block = 5, 8
+    rng = np.random.default_rng(seed)
+    ids = [TupleId.synthetic(k) for k in range(n_blocks * block)]
+    db = ProbabilisticDatabase()
+    for t in ids:
+        db.add(t)
+    world = {t: float(rng.random() < 0.5) for t in ids}
+    labels = []
+    for j in range(12 * n_blocks):
+        first = int(rng.integers(n_blocks)) * block
+        picks = rng.choice(block, size=4, replace=False)
+        a, b, c, d = (Var(ids[first + int(k)]) for k in picks)
+        if j % 2:
+            formula = Or(Not(a), And(b, c))
+        else:
+            formula = And(a, Or(b, Not(c)), Not(d))
+        labels.append(Label(formula, prob_exact(formula, world)))
+    return db, tuple(labels)
+
+
 def main():
     srl = gen_synthetic_srl(10000, n_tuples=1000, blocks=4)
     srl_runs("srl", LearningProblem(srl.db, srl.labels), (1, 2, 4))
@@ -174,6 +204,22 @@ def main():
                     )
                     name = f"fixed seed={seed} {objective} {optimizer} threads={threads}"
                     show(name, learn(problem, cfg))
+
+    db, labels = mixed_children(3)
+    problem = LearningProblem(db, labels)
+    for objective in ("mse", "logical"):
+        for optimizer in OPTIMIZERS:
+            for threads in (1, 2):
+                cfg = LearnerConfig(
+                    objective=objective,
+                    optimizer=optimizer,
+                    eps_rel=0.0,
+                    max_outer_iterations=60,
+                    threads=threads,
+                    record_accepted=True,
+                )
+                name = f"mixed {objective} {optimizer} threads={threads}"
+                show(name, learn(problem, cfg))
 
     db, labels, learnable = with_fixed_tuples(2, False, estimates=True)
     cfg = LearnerConfig(eps_rel=0.0, max_outer_iterations=60, record_accepted=True)
