@@ -26,14 +26,12 @@ of distinct nodes one call decides, and a formula that needs more raises
 fails after a bounded amount of work instead of enumerating worlds.
 The routine emits one operation per node, children first, into a flat list,
 the only compiled form of a formula (a circuit, as in Darwiche, JACM 2003).
-A pass over that list (``_fold``) then turns each conjunction or disjunction
-whose children are all literals, a tuple or its negation, into one literal
-operation that reads the literals' probabilities straight from the map, and
-drops the leaves and negations nothing else reads: the same IEEE operations
-in the same order, so the values are bit-identical.  ``compile_probability``
-returns a callable that runs the list once over a probability map, computing
-each node once in one loop, and ``prob_exact`` compiles and calls it once.
-``derivative`` compiles the two pinned formulas.
+A conjunction or disjunction of independent literals, each a tuple or its
+negation, is one literal operation that reads the literals' probabilities
+straight from the map.  ``compile_probability`` returns a callable that runs
+the list once over a probability map, computing each node once in one loop,
+and ``prob_exact`` compiles and calls it once.  ``derivative`` compiles the
+two pinned formulas.
 
 Memoization is call-local on canonical subformulas.  Across formulas,
 ``_compile_shared`` decomposes each shape once, the same caching applied
@@ -183,23 +181,37 @@ def _decompose(phi: LineageFormula) -> tuple:
     Each distinct canonical subformula is decided once and becomes one
     operation ``(code, argument, children)``: the argument is a TupleId or a
     constant, and the children are the indices of earlier operations.  A
-    subformula reached twice is one operation and counts once against
-    ``MAX_NODES``, read at each call; needing one node more raises
-    IntractableFormulaError.  The root is the last operation.
+    conjunction or disjunction whose children are independent literals
+    becomes ``(_LITAND or _LITOR, positive tuples, negated tuples)``:
+    ``_LITAND`` multiplies ``p[t]``, then ``1.0 - p[t]``, and ``_LITOR``
+    multiplies ``1.0 - p[t]``, then ``1.0 - (1.0 - p[t])``, and takes one
+    minus the product.  Those are the IEEE operations of the node over leaf
+    and negation operations, in canonical order, which puts every tuple ahead
+    of every negation, so the values are bit-identical.  The product's
+    literals, and the tuple under each negation, still count as nodes, and a
+    leaf gets an operation only when another kind of node reaches it.  A
+    subformula reached twice counts once against ``MAX_NODES``, read at each
+    call; needing one node more raises IntractableFormulaError.  The root is
+    the last operation.
     """
     ops: list = []
-    index: dict = {}  # subformula -> its operation, None while being planned
+    index: dict = {}  # subformula -> its operation; None: counted, none yet
     limit, size = MAX_NODES, len(phi._tuples)
 
-    def plan(phi):
-        if phi in index:
-            return index[phi]
+    def count(phi):
         if len(index) == limit:
             raise IntractableFormulaError(
                 f"decomposition of a {size}-tuple formula reached "
                 f"{limit} nodes, the MAX_NODES limit of {limit}"
             )
         index[phi] = None
+
+    def plan(phi):
+        at = index.get(phi)
+        if at is not None:
+            return at
+        if phi not in index:
+            count(phi)
         if isinstance(phi, Constant):
             code, arg, subs = _CONST, 1.0 if phi.value else 0.0, ()
         elif isinstance(phi, Var):
@@ -209,6 +221,18 @@ def _decompose(phi: LineageFormula) -> tuple:
         else:
             children = phi.children
             groups = connected_components([c._tuples for c in children])
+            lits = [c.child if c.__class__ is Not else c for c in children]
+            if len(groups) == len(lits) and all(x.__class__ is Var for x in lits):
+                pos, neg = [], []
+                for c, x in zip(children, lits):
+                    for node in (c, x):  # x is c unless c negates it
+                        if node not in index:
+                            count(node)
+                    (pos if c is x else neg).append(x.tuple_id)
+                code = _LITAND if isinstance(phi, And) else _LITOR
+                at = index[phi] = len(ops)
+                ops.append((code, tuple(pos), tuple(neg)))
+                return at
             if len(groups) > 1:
                 op, code = (And, _AND) if isinstance(phi, And) else (Or, _OR)
                 arg, subs = None, [op(*(children[i] for i in g)) for g in groups]
@@ -232,56 +256,6 @@ def _decompose(phi: LineageFormula) -> tuple:
             f"decomposition nested too deep after {len(index)} nodes"
         ) from None
     return tuple(ops)
-
-
-def _fold(ops: tuple) -> tuple:
-    """ops with each conjunction or disjunction of literals as one operation.
-
-    A node folds when every child is a leaf or the negation of a leaf and the
-    positive literals come before the negated ones, as canonical order puts
-    them.  ``(_LITAND, positive, negated)`` multiplies ``p[t]`` over the
-    positive tuples, then ``1.0 - p[t]`` over the negated ones, and
-    ``_LITOR`` multiplies ``1.0 - p[t]``, then ``1.0 - (1.0 - p[t])``, and
-    takes one minus the product: the IEEE operations that the node and its
-    children ran, in their order, so every value is bit-identical.
-    Operations that nothing reads any more are dropped and the child indices
-    renumbered; the root stays last.
-    """
-    literal: dict = {}  # index of a leaf or a negated leaf -> (tuple, negated)
-    folded: dict = {}  # index of a folded node -> its literal operation
-    for at, (code, arg, kids) in enumerate(ops):
-        if code == _LEAF:
-            literal[at] = (arg, False)
-        elif code == _NEG:
-            child = ops[kids[0]]
-            if child[0] == _LEAF:
-                literal[at] = (child[1], True)
-        elif code == _AND or code == _OR:
-            pos, neg = [], []
-            for k in kids:
-                lit = literal.get(k)
-                if lit is None or (neg and not lit[1]):
-                    break  # a compound child, or a positive literal after a negated
-                (neg if lit[1] else pos).append(lit[0])
-            else:
-                code = _LITAND if code == _AND else _LITOR
-                folded[at] = (code, tuple(pos), tuple(neg))
-    if not folded:
-        return ops
-    read = [False] * len(ops)
-    read[-1] = True
-    for at in range(len(ops) - 1, -1, -1):
-        if read[at] and at not in folded:
-            for k in ops[at][2]:
-                read[k] = True
-    renumber = [0] * len(ops)
-    out = []
-    for at, (code, arg, kids) in enumerate(ops):
-        if read[at]:
-            renumber[at] = len(out)
-            op = folded.get(at) or (code, arg, tuple([renumber[k] for k in kids]))
-            out.append(op)
-    return tuple(out)
 
 
 _SORT_KEY = attrgetter("sort_key")
@@ -318,21 +292,15 @@ def _shape(phi: LineageFormula) -> tuple:
     return tuple(key), ordered
 
 
-def _relabel(ops: tuple, new, made: dict) -> tuple:
-    """ops with each tuple t that an operation reads replaced by new[t].
-
-    A leaf or Shannon node is taken from ``made`` if an equal one is there,
-    and added to it otherwise; a literal operation maps its positive and its
-    negated tuples.
-    """
+def _relabel(ops: tuple, new) -> tuple:
+    """ops with each tuple t that an operation reads replaced by new[t]."""
+    get = new.__getitem__
     out = []
     for op in ops:
         code = op[0]
         if code in _ON_TUPLES:
             op = (code, new[op[1]], op[2])
-            op = made.setdefault(op, op)
         elif code == _LITAND or code == _LITOR:
-            get = new.__getitem__
             op = (code, tuple(map(get, op[1])), tuple(map(get, op[2])))
         out.append(op)
     return tuple(out)
@@ -343,27 +311,24 @@ def _compile_shared(
 ) -> Iterator[tuple]:
     """Each formula's operations and its tuples' slots; one decomposition per shape.
 
-    The first formula of a shape key is decomposed and folded (``_fold``);
-    every later one takes those operations with its own tuples mapped in by
-    rank.  In the lists yielded, a leaf or Shannon node on tuple t holds
-    ``slot[t]``, and a literal operation the slots of its positive and of its
-    negated tuples, so ``_run`` reads them from a list indexed by slot.
-    Equal leaves and Shannon nodes are one object, so the formulas that read
-    a slot share its leaf.  The slots come in sorted tuple order and cover
-    every tuple of the formula, also one that its operations no longer read.
-    An intractable formula raises when it is reached, after the pairs of the
-    formulas before it.
+    The first formula of a shape key is decomposed; every later one takes
+    those operations with its own tuples mapped in by rank.  In the lists
+    yielded, a leaf or Shannon node on tuple t holds ``slot[t]``, and a
+    literal operation the slots of its positive and of its negated tuples,
+    so ``_run`` reads them from a list indexed by slot.  The slots come in
+    sorted tuple order and cover every tuple of the formula, also one that
+    no operation reads.  An intractable formula raises when it is reached,
+    after the pairs of the formulas before it.
     """
     shapes: dict = {}  # shape key -> operations whose tuples are ranks
-    made: dict = {}  # every leaf and Shannon node on a slot, kept once
     for phi in formulas:
         key, ordered = _shape(phi)
         ops = shapes.get(key)
         if ops is None:
             rank = {t: r for r, t in enumerate(ordered)}
-            ops = shapes[key] = _relabel(_fold(_decompose(phi)), rank, {})
+            ops = shapes[key] = _relabel(_decompose(phi), rank)
         slots = [slot[t] for t in ordered]
-        yield _relabel(ops, slots, made), slots
+        yield _relabel(ops, slots), slots
 
 
 def _run(lists: tuple, p) -> list:
@@ -435,7 +400,7 @@ def compile_probability(
     the exact partial derivative as the difference.  It keeps no state
     between calls and pickles.
     """
-    return partial(_value, _fold(_decompose(phi)))
+    return partial(_value, _decompose(phi))
 
 
 def prob_exact(phi: LineageFormula, p: Mapping[TupleId, float]) -> float:

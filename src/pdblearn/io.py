@@ -76,14 +76,19 @@ def _probability(text: str, n: int) -> float:
     return prob
 
 
-def load_tuples(path) -> ProbabilisticDatabase:
-    db = ProbabilisticDatabase()
+def _tuple_rows(path):
+    """Each data line's number, TupleId and last column, from a tuples-like file."""
     for n, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) < 2:
             raise ParseError("expected relation, arguments, probability", line=n)
         relation, *args, last = fields
-        tid = TupleId(relation, tuple(parse_arg_token(a) for a in args))
+        yield n, TupleId(relation, tuple(parse_arg_token(a) for a in args)), last
+
+
+def load_tuples(path) -> ProbabilisticDatabase:
+    db = ProbabilisticDatabase()
+    for n, tid, last in _tuple_rows(path):
         if last.strip() == "?":
             db.add(tid, learnable=True)
         else:
@@ -169,7 +174,7 @@ def load_labels(
                 raise DanglingReferenceError(
                     f"label line {n} references a derived tuple but no rules were given"
                 )
-            tid = parse_tuple_id(ref)
+            tid = parse_tuple_id(ref, n)
             hit = derived.get((tid.relation, tid.key))
             if hit is None:
                 raise DanglingReferenceError(
@@ -177,7 +182,7 @@ def load_labels(
                 )
             labels.append(Label(hit.lineage, target))
         elif kind == "F":
-            formula = parse_formula(ref)
+            formula = parse_formula(ref, n)
             unknown = tuple_set(formula) - known
             if unknown:
                 raise DanglingReferenceError(
@@ -205,15 +210,7 @@ def save_label_refs(refs: Sequence[tuple], path) -> None:
 
 
 def load_probabilities(path) -> dict:
-    out = {}
-    for n, line in _data_lines(path):
-        fields = line.split("\t")
-        if len(fields) < 2:
-            raise ParseError("expected relation, arguments, probability", line=n)
-        relation, *args, last = fields
-        tid = TupleId(relation, tuple(parse_arg_token(a) for a in args))
-        out[tid] = _probability(last, n)
-    return out
+    return {tid: _probability(last, n) for n, tid, last in _tuple_rows(path)}
 
 
 def probabilities_text(probabilities: Mapping[TupleId, float]) -> str:

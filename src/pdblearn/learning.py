@@ -38,8 +38,10 @@ inline, which makes the single-threaded run the deterministic reference.
 Stopping: the run converges when the objective reaches ``eps_abs`` (for mse;
 ``1 - eps_abs`` for logical), or when a full outer pass improves it by less
 than ``eps_rel`` times the current value (for logical: times the remaining
-gap).  Otherwise it stops at ``max_outer_iterations`` and reports
-non-convergence.
+gap).  It also stops when a pass accepts no step in any component and every
+rate is at RATE_MIN, since no later pass can change anything: with status
+``eps_rel``, or ``max_iterations`` when ``eps_rel`` is 0.  Otherwise it stops
+at ``max_outer_iterations`` and reports non-convergence.
 
 The declarative entry points (:func:`mse`, :func:`mse_gradient`,
 :func:`logical_objective`) use plain exact inference; :func:`learn` compiles

@@ -502,10 +502,10 @@ def _parse_args(scanner: _Scanner) -> tuple:
     return tuple(args)
 
 
-def parse_tuple_id(scanner_or_text) -> TupleId:
-    """Parse ``rel(arg,...)`` or ``#<int>`` into a TupleId."""
+def parse_tuple_id(scanner_or_text, line_no: int = 1) -> TupleId:
+    """Parse ``rel(arg,...)`` or ``#<int>``, text from line ``line_no``, into a TupleId."""
     if isinstance(scanner_or_text, str):
-        scanner = _Scanner(scanner_or_text)
+        scanner = _Scanner(scanner_or_text, line_no)
         tid = parse_tuple_id(scanner)
         if not scanner.at_end():
             raise scanner.error("trailing input after tuple id")
@@ -523,9 +523,9 @@ def parse_tuple_id(scanner_or_text) -> TupleId:
     return TupleId(name, _parse_args(scanner))
 
 
-def parse_formula(text: str) -> LineageFormula:
-    """Parse the textual syntax documented in the module docstring."""
-    scanner = _Scanner(text)
+def parse_formula(text: str, line_no: int = 1) -> LineageFormula:
+    """Parse the syntax of the module docstring; ``text`` starts on line ``line_no``."""
+    scanner = _Scanner(text, line_no)
     phi = _parse_or(scanner)
     if not scanner.at_end():
         raise scanner.error("trailing input after formula")

@@ -30,6 +30,7 @@ from pdblearn import (
     tuple_set,
 )
 from pdblearn import inference
+from pdblearn.lineage import Constant, connected_components
 
 from conftest import build_formula, random_pmap, recipes, tid
 
@@ -391,39 +392,41 @@ def test_formulas_compiled_together_match_each_compiled_alone(seed):
             assert value.hex() == alone.hex(), str(phi)
 
 
-def _reference(ops, p):
-    """P from an unfolded operation list, one node at a time, as _decompose emits it."""
-    vals = []
-    for code, arg, kids in ops:
-        if code == inference._CONST:
-            out = arg
-        elif code == inference._LEAF:
-            out = p[arg]
-        elif code == inference._NEG:
-            out = 1.0 - vals[kids[0]]
-        elif code == inference._AND:
-            out = 1.0
-            for k in kids:
-                out *= vals[k]
-        elif code == inference._OR:
-            out = 1.0
-            for k in kids:
-                out *= 1.0 - vals[k]
-            out = 1.0 - out
-        elif code == inference._DISJOINT:
-            out = 0.0
-            for k in kids:
-                out += vals[k]
-        else:
-            assert code == inference._SHANNON
-            x = p[arg]
-            out = x * vals[kids[0]] + (1.0 - x) * vals[kids[1]]
-        vals.append(out)
-    return vals[-1]
+def _reference(phi, p):
+    """P(phi) by the decomposition rules, recursing over the formula itself.
 
-
-def _is_literal(op) -> bool:
-    return op[0] in (inference._LITAND, inference._LITOR)
+    It decides each node as ``_decompose`` does, but computes a product of
+    literals child by child, as the node and its leaf and negation children
+    would, so it shares no code with the literal operations it checks.
+    """
+    if isinstance(phi, Constant):
+        return 1.0 if phi.value else 0.0
+    if isinstance(phi, Var):
+        return p[phi.tuple_id]
+    if isinstance(phi, Not):
+        return 1.0 - _reference(phi.child, p)
+    children = phi.children
+    groups = connected_components([c._tuples for c in children])
+    if len(groups) > 1:
+        op = And if isinstance(phi, And) else Or
+        parts = [_reference(op(*(children[i] for i in g)), p) for g in groups]
+        out = 1.0
+        if isinstance(phi, And):
+            for part in parts:
+                out *= part
+            return out
+        for part in parts:
+            out *= 1.0 - part
+        return 1.0 - out
+    if isinstance(phi, Or) and inference._pairwise_event_disjoint(children):
+        out = 0.0
+        for c in children:
+            out += _reference(c, p)
+        return out
+    t = inference._shannon_tuple(children)
+    x = p[t]
+    high = _reference(substitute(phi, t, True), p)
+    return x * high + (1.0 - x) * _reference(substitute(phi, t, False), p)
 
 
 class TestLiteralOperations:
@@ -434,59 +437,49 @@ class TestLiteralOperations:
         assert len(compile_probability(Or(a, b, Not(c))).args[0]) == 1
 
     @pytest.mark.parametrize(
-        "phi",
+        "phi, code",
         [
             # the group {a, a | b} is a compound child ahead of the literal c
-            And(v(1), Or(v(1), v(2)), v(3)),
-            # one group: a Shannon expansion, not a product of literals
-            And(v(1), Not(v(1))),
-            Or(v(1), Not(v(1))),
+            (And(v(1), Or(v(1), v(2)), v(3)), inference._AND),
+            # one group: not a product of literals
+            (And(v(1), Not(v(1))), inference._SHANNON),
+            (Or(v(1), Not(v(1))), inference._DISJOINT),
         ],
         ids=["compound-ahead-of-literal", "x-and-not-x", "x-or-not-x"],
     )
-    def test_the_fold_leaves_other_nodes_alone(self, phi):
+    def test_the_fold_leaves_other_nodes_alone(self, phi, code):
         ops = inference._decompose(phi)
-        folded = inference._fold(ops)
-        root = folded[-1]
-        assert not _is_literal(root)
-        assert root[0] == ops[-1][0]
+        assert ops[-1][0] == code
         p = {t: 0.3 + 0.1 * k for k, t in enumerate(sorted(tuple_set(phi)))}
-        assert inference._run((folded,), p)[0].hex() == _reference(ops, p).hex()
-
-    def test_a_negated_literal_ahead_of_a_positive_one_does_not_fold(self):
-        # canonical order never emits this; folding it would reorder the product
-        ops = (
-            (inference._LEAF, tid(1), ()),
-            (inference._NEG, None, (0,)),
-            (inference._LEAF, tid(2), ()),
-            (inference._AND, None, (1, 2)),
-        )
-        assert inference._fold(ops) == ops
+        assert inference._run((ops,), p)[0].hex() == _reference(phi, p).hex()
 
     def test_a_leaf_read_elsewhere_is_kept(self):
-        # t(1) is a literal of the folded disjunction and a child of the
-        # conjunction above it, whose other child is compound
-        ops = (
+        # t(0) and t(1) are literals of the first conjunction; the second
+        # conjunction, whose last child is compound, reads t(1) as a leaf
+        # and t(0) under a negation
+        x = v(0)
+        phi = Or(And(x, v(1), v(2)), And(Not(x), v(1), Or(And(v(3), v(4)), v(5))))
+        ops = inference._decompose(phi)
+        assert ops == (
+            (inference._LITAND, (tid(0), tid(1), tid(2)), ()),
             (inference._LEAF, tid(1), ()),
-            (inference._LEAF, tid(2), ()),
-            (inference._OR, None, (0, 1)),
-            (inference._AND, None, (0, 2)),
+            (inference._LEAF, tid(0), ()),
+            (inference._NEG, None, (2,)),
+            (inference._LEAF, tid(5), ()),
+            (inference._LITAND, (tid(3), tid(4)), ()),
+            (inference._OR, None, (4, 5)),
+            (inference._AND, None, (1, 3, 6)),
+            (inference._DISJOINT, None, (0, 7)),
         )
-        folded = inference._fold(ops)
-        assert folded == (
-            (inference._LEAF, tid(1), ()),
-            (inference._LITOR, (tid(1), tid(2)), ()),
-            (inference._AND, None, (0, 1)),
-        )
-        p = {tid(1): 0.375, tid(2): 0.8125}
-        assert inference._run((folded,), p)[0].hex() == _reference(ops, p).hex()
+        p = {tid(i): 0.375 + 0.0625 * i for i in range(6)}
+        assert inference._run((ops,), p)[0].hex() == _reference(phi, p).hex()
 
 
 def _mixed_formulas(max_vars=7):
     """Conjunctions and disjunctions whose children mix terms of literals with recipes.
 
     Tuples repeat across children, so the decomposition groups and expands
-    them: the operation lists hold nodes that fold next to nodes with a
+    them: the operation lists hold literal products next to nodes with a
     compound child, and terms such as x & !x.
     """
     literal = st.tuples(st.integers(0, max_vars - 1), st.booleans())
@@ -510,16 +503,20 @@ def _build_mixed(spec):
 @pytest.mark.property
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_mixed_formulas(), st.integers(0, 2**31 - 1))
-def test_folded_operations_match_the_unfolded_list_bit_for_bit(spec, seed):
+def test_literal_operations_match_the_rules_bit_for_bit(spec, seed):
     phi = _build_mixed(spec)
     ops = inference._decompose(phi)
-    folded = inference._fold(ops)
-    assert len(folded) <= len(ops)
-    assert not any(map(_is_literal, ops))
+    # every conjunction or disjunction of independent literals is one operation
+    leaves = {at for at, op in enumerate(ops) if op[0] == inference._LEAF}
+    negations = {at for at, op in enumerate(ops) if op[0] == inference._NEG}
+    literal = leaves | {at for at in negations if ops[at][2][0] in leaves}
+    for code, _, kids in ops:
+        if code in (inference._AND, inference._OR):
+            assert not literal.issuperset(kids), str(phi)
     # probabilities near 0 and 1 too, where a reordered product or a step
     # such as 1 - (1 - x) read as x changes the low bits of the result
     rng = np.random.default_rng(seed)
     for _ in range(10):
         p = {t: float(rng.random()) ** int(rng.choice([1, 8])) for t in tuple_set(phi)}
         p = {t: 1.0 - x if rng.random() < 0.5 else x for t, x in p.items()}
-        assert inference._run((folded,), p)[0].hex() == _reference(ops, p).hex(), str(phi)
+        assert inference._run((ops,), p)[0].hex() == _reference(phi, p).hex(), str(phi)

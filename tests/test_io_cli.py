@@ -228,6 +228,17 @@ class TestRulesAndLabelFiles:
                 load_labels(path, db)
             assert err.value.line == 2
 
+    def test_syntax_errors_in_references_name_the_file_line(self, tmp_path):
+        db, _ = story_db()
+        program = parse_program(STORY_RULES)
+        path = tmp_path / "labels.tsv"
+        good = "F\tfromDomain(1, Wikipedia.org)\t0.5\n"
+        for bad in ("F\tfromDomain(1, & )\t0.5\n", "Q\twonPrize(Spielberg,\t0.5\n"):
+            path.write_text(f"{good}% a comment\n{bad}{good}", encoding="utf-8")
+            with pytest.raises(ParseError) as err:
+                load_labels(path, db, program)
+            assert err.value.line == 3, bad
+
 
 class TestProbabilitiesAndTraces:
     def test_probabilities_round_trip(self, tmp_path):

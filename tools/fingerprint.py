@@ -24,12 +24,17 @@ against an older ``src`` through ``PYTHONPATH`` as it is.  It covers:
   mentions no tuple: the labels that no learnable tuple touches;
 * mse and logical ``learn`` with each optimizer at threads 1 and 2 on labels
   such as ``a & (b | !c) & !d`` and ``!a | b & c``, whose conjunctions and
-  disjunctions mix literals with compound children.
+  disjunctions mix literals with compound children;
+* ``compile_probability`` on 200 seeded random formulas over eight tuples,
+  whose decompositions hold Shannon expansions, disjoint disjunctions and
+  leaves read both inside and outside a product of literals, each evaluated
+  at maps with probabilities near 0 and 1.
 
 For each run it prints the status, the iteration count, ``best``, the trace
 objectives, the accepted objective parts (``record_accepted=True``; not
 exposed by ``solve_3sat``) and the learned probabilities in sorted tuple
-order.  It takes about half a minute (30 s) on a 2-CPU host.
+order, and for each compiled formula its text and its values.  It takes about
+half a minute (30 s) on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from pdblearn import (
     ProbabilisticDatabase,
     TupleId,
     Var,
+    compile_probability,
     encode_3sat,
     format_formula,
     gen_synthetic_srl,
@@ -153,6 +159,38 @@ def mixed_children(seed):
     return db, tuple(labels)
 
 
+def random_formulas(seed, count):
+    """Seeded nested conjunctions and disjunctions of literals over eight tuples.
+
+    Children share tuples, so deciding them takes Shannon expansions, and
+    terms such as ``x & ...`` and ``!x & ...`` make disjoint disjunctions.
+    """
+    rng = np.random.default_rng(seed)
+    ids = [TupleId.synthetic(k) for k in range(8)]
+
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.3:
+            x = Var(ids[int(rng.integers(len(ids)))])
+            return Not(x) if rng.random() < 0.4 else x
+        parts = [formula(depth - 1) for _ in range(int(rng.integers(2, 4)))]
+        return And(*parts) if rng.random() < 0.5 else Or(*parts)
+
+    return [formula(3) for _ in range(count)], ids
+
+
+def compiled_values(seed):
+    formulas, ids = random_formulas(seed, 200)
+    rng = np.random.default_rng(seed)
+    maps = []
+    for _ in range(4):
+        near = rng.random(len(ids)) ** 8  # near 0, and below near 1
+        maps.append({t: float(1.0 - x if rng.random() < 0.5 else x) for t, x in zip(ids, near)})
+    print("== compile_probability")
+    for phi in formulas:
+        f = compile_probability(phi)
+        print(format_formula(phi), *(f(p).hex() for p in maps))
+
+
 def main():
     srl = gen_synthetic_srl(10000, n_tuples=1000, blocks=4)
     srl_runs("srl", LearningProblem(srl.db, srl.labels), (1, 2, 4))
@@ -227,6 +265,8 @@ def main():
     print("deletions", " ".join(str(t) for t in clean.deletions))
     print("certain", " ".join(str(t) for t in clean.certain))
     show("update_clean with a prior", clean.result)
+
+    compiled_values(5)
 
 
 if __name__ == "__main__":
