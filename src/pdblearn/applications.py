@@ -285,24 +285,16 @@ def derive_from_incomplete(
     problem = LearningProblem(db, labels)
     result = learn(problem, cfg or LearnerConfig())
 
-    completions: list = []
-    best: list = []
-    for i in range(len(incomplete_rows)):
-        row_probs = {}
-        for j, args, _freq in label_specs:
-            if j != i:
-                continue
-            lineage = derived[(relation, (i,) + args)].lineage
-            row_probs[args] = prob_exact(lineage, result.probabilities)
-        completions.append(row_probs)
-        best.append(max(sorted(row_probs), key=lambda a: row_probs[a]))
+    completions = tuple({} for _ in incomplete_rows)
+    for (i, args, _freq), label in zip(label_specs, labels):
+        completions[i][args] = prob_exact(label.formula, result.probabilities)
     return IncompleteReduction(
         db=db,
         program=program,
         problem=problem,
         result=result,
-        completions=tuple(completions),
-        best=tuple(best),
+        completions=completions,
+        best=tuple(max(sorted(row), key=row.__getitem__) for row in completions),
     )
 
 

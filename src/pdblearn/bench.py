@@ -5,10 +5,11 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, fields
+from itertools import product
 from typing import Sequence
 
 from .generators import gen_synthetic_srl
-from .learning import LearnerConfig, LearningProblem, learn
+from .learning import OPTIMIZERS, LearnerConfig, LearningProblem, learn
 
 __all__ = ["BenchCell", "run_bench", "save_bench", "format_bench"]
 
@@ -32,7 +33,7 @@ class BenchCell:
 def run_bench(
     sizes: Sequence[tuple] = ((50, 60, 2), (200, 120, 4)),
     objectives: Sequence[str] = ("mse",),
-    optimizers: Sequence[str] = ("sgd-per-tuple", "sgd-single", "gd"),
+    optimizers: Sequence[str] = OPTIMIZERS,
     threads: Sequence[int] = (1,),
     seed: int = 0,
     max_outer_iterations: int = 500,
@@ -46,42 +47,27 @@ def run_bench(
     for n_labels, n_tuples, blocks in sizes:
         instance = gen_synthetic_srl(n_labels, seed=seed, n_tuples=n_tuples, blocks=blocks)
         problem = LearningProblem(instance.db, instance.labels)
-        for objective in objectives:
-            for optimizer in optimizers:
-                for n_threads in threads:
-                    cell = BenchCell(
-                        n_labels=n_labels,
-                        n_tuples=n_tuples,
-                        blocks=blocks,
-                        objective=objective,
-                        optimizer=optimizer,
-                        threads=n_threads,
-                        seed=seed,
-                        status="",
-                        best=float("nan"),
-                        iterations=0,
-                        seconds=0.0,
-                    )
-                    started = time.perf_counter()
-                    try:
-                        result = learn(
-                            problem,
-                            LearnerConfig(
-                                objective=objective,
-                                optimizer=optimizer,
-                                threads=n_threads,
-                                seed=seed,
-                                max_outer_iterations=max_outer_iterations,
-                            ),
-                        )
-                        cell.status = result.status
-                        cell.best = result.best
-                        cell.iterations = result.iterations
-                    except Exception as exc:  # keep sweeping, note the failure
-                        cell.status = "error"
-                        cell.error = f"{type(exc).__name__}: {exc}"
-                    cell.seconds = time.perf_counter() - started
-                    cells.append(cell)
+        for objective, optimizer, n_threads in product(objectives, optimizers, threads):
+            status, best, iterations, error = "", float("nan"), 0, ""
+            started = time.perf_counter()
+            try:
+                cfg = LearnerConfig(
+                    objective=objective,
+                    optimizer=optimizer,
+                    threads=n_threads,
+                    seed=seed,
+                    max_outer_iterations=max_outer_iterations,
+                )
+                result = learn(problem, cfg)
+                status, best, iterations = result.status, result.best, result.iterations
+            except Exception as exc:  # keep sweeping, note the failure
+                status, error = "error", f"{type(exc).__name__}: {exc}"
+            cells.append(
+                BenchCell(
+                    n_labels, n_tuples, blocks, objective, optimizer, n_threads, seed,
+                    status, best, iterations, time.perf_counter() - started, error,
+                )
+            )
     return tuple(cells)
 
 

@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the learner over generated instances")
     p.add_argument("--sizes", default="50:60:2,200:120:4", help="labels:tuples:blocks,...")
     p.add_argument("--objectives", default="mse")
-    p.add_argument("--optimizers", default="sgd-per-tuple,sgd-single,gd")
+    p.add_argument("--optimizers", default=",".join(OPTIMIZERS))
     p.add_argument("--threads-list", default="1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iterations", type=int, default=500)

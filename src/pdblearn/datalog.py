@@ -212,15 +212,7 @@ def _parse_literal(scanner: _Scanner, negated: bool) -> Literal:
     name = scanner.regex(_IDENT)
     if name is None:
         raise scanner.error("expected a relation name")
-    scanner.expect("(")
-    args = []
-    if scanner.peek() != ")":
-        while True:
-            args.append(_parse_term(scanner))
-            if not scanner.take(","):
-                break
-    scanner.expect(")")
-    return Literal(name, tuple(args), negated)
+    return Literal(name, scanner.items(_parse_term), negated)
 
 
 def _parse_body_item(scanner: _Scanner):
@@ -244,21 +236,19 @@ def parse_rule(text: str, line_no: int = 1) -> DeductionRule:
     """Parse a single ``Head(...) :- Body.`` rule."""
     scanner = _Scanner(text, line_no)
     head = _parse_literal(scanner, negated=False)
-    scanner.skip_ws()
     if not scanner.take(":-"):
         raise scanner.error("expected ':-' after the rule head")
     body = [_parse_body_item(scanner)]
     while scanner.take(","):
         body.append(_parse_body_item(scanner))
     scanner.expect(".")
-    if not scanner.at_end():
-        raise scanner.error("trailing input after rule")
+    scanner.end("rule")
     rule = DeductionRule(head, tuple(body))
-    _check_safety(rule, line_no)
+    _check_safety(rule)
     return rule
 
 
-def _check_safety(rule: DeductionRule, line_no: int | None = None):
+def _check_safety(rule: DeductionRule):
     if not rule.positive:
         raise SafetyError(
             f"rule for {rule.head.relation} has no positive body literal"

@@ -12,15 +12,21 @@ class PdbError(Exception):
 
 
 class ParseError(PdbError):
-    """Syntax error in formula, rule, or instance-file text."""
+    """Syntax error in formula, rule, or instance-file text.
+
+    The text is built from the message, ``line`` and ``col`` when printed,
+    so a caller that hands the parser part of a line can shift ``col``.
+    """
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        self.line = line
-        self.col = col
-        where = ""
-        if line is not None:
-            where = f" at line {line}" + (f", column {col}" if col is not None else "")
-        super().__init__(message + where)
+        super().__init__(message)
+        self.line, self.col = line, col
+
+    def __str__(self):
+        if self.line is None:
+            return self.args[0]
+        col = f", column {self.col}" if self.col is not None else ""
+        return f"{self.args[0]} at line {self.line}{col}"
 
 
 class SafetyError(PdbError):

@@ -147,15 +147,8 @@ def save_rules(program, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def load_labels(
-    path,
-    db: ProbabilisticDatabase,
-    program: DeductionProgram | None = None,
-    derived: Mapping | None = None,
-) -> tuple:
-    """Read labels, resolving Q rows against the rules' derived tuples."""
-    if derived is None and program is not None:
-        derived = index_derived(ground(program, db))
+def load_labels(path, db: ProbabilisticDatabase, derived: Mapping | None = None) -> tuple:
+    """Read labels, resolving Q rows in ``derived`` (from ``index_derived``)."""
     known = db.tuples  # builds a new frozenset on every access
     labels = []
     for n, line in _data_lines(path):
@@ -169,29 +162,32 @@ def load_labels(
             raise ParseError(f"bad target {raw_target!r}", line=n) from None
         if not 0.0 <= target <= 1.0:
             raise ParseError(f"label target must lie in [0, 1], got {target}", line=n)
+        if kind not in ("Q", "F"):
+            raise ParseError(f"unknown label kind {kind!r}, expected Q or F", line=n)
+        if kind == "Q" and derived is None:
+            raise DanglingReferenceError(
+                f"label line {n} references a derived tuple but no rules were given"
+            )
+        try:
+            parsed = (parse_tuple_id if kind == "Q" else parse_formula)(ref, n)
+        except ParseError as exc:
+            exc.col += len(kind) + 1  # the reference follows the kind and a tab
+            raise
         if kind == "Q":
-            if derived is None:
-                raise DanglingReferenceError(
-                    f"label line {n} references a derived tuple but no rules were given"
-                )
-            tid = parse_tuple_id(ref, n)
-            hit = derived.get((tid.relation, tid.key))
+            hit = derived.get((parsed.relation, parsed.key))
             if hit is None:
                 raise DanglingReferenceError(
                     f"label line {n}: {ref} is not derived by the rules"
                 )
             labels.append(Label(hit.lineage, target))
-        elif kind == "F":
-            formula = parse_formula(ref, n)
-            unknown = tuple_set(formula) - known
+        else:
+            unknown = tuple_set(parsed) - known
             if unknown:
                 raise DanglingReferenceError(
                     f"label line {n} references tuple(s) not in the database: "
                     f"{sorted(unknown)[:3]}"
                 )
-            labels.append(Label(formula, target))
-        else:
-            raise ParseError(f"unknown label kind {kind!r}, expected Q or F", line=n)
+            labels.append(Label(parsed, target))
     return tuple(labels)
 
 
@@ -246,12 +242,15 @@ def expand_derived(phi: LineageFormula, derived: Mapping) -> LineageFormula:
 @dataclass
 class Instance:
     db: ProbabilisticDatabase
-    program: DeductionProgram | None
     labels: tuple
 
 
 def load_instance(tuples_path, rules_path=None, labels_path=None) -> Instance:
+    """Read the files; the rules are grounded only when there are labels to resolve."""
     db = load_tuples(tuples_path)
     program = load_rules(rules_path) if rules_path else None
-    labels = load_labels(labels_path, db, program) if labels_path else ()
-    return Instance(db=db, program=program, labels=labels)
+    derived = None
+    if program is not None and labels_path:
+        derived = index_derived(ground(program, db))
+    labels = load_labels(labels_path, db, derived) if labels_path else ()
+    return Instance(db=db, labels=labels)

@@ -707,7 +707,10 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
     ordered_learnable = sorted(learnable)
     init_p = {}
     for t in ordered_learnable:
-        # round-trip once so cached values match exactly what expit(w) yields
+        # one logit/expit round trip.  It is not a fixed point: for about one
+        # draw in a hundred, expit(logit(p)) is an ulp away from p, so the
+        # initial parts, evaluated at start_p, can differ in the last bit from
+        # the same parts at expit(w)
         init_p[t] = expit(logit(float(init_rng.random())))
 
     components: list = []

@@ -63,6 +63,10 @@ SYNTHETIC_RELATION = "#"
 _BARE_ARG = re.compile(r"[A-Za-z0-9_.+\-/:@']+")
 _INT_TOKEN = re.compile(r"-?[0-9]+")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_WS = re.compile(r"[ \t\r\n]*")
+# a quoted string's body: any character but a quote, or a backslash and the next one
+_STRING_BODY = re.compile(r'(?:[^"\\]|\\.)*', re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
 def _arg_rank(value) -> tuple:
@@ -417,13 +421,15 @@ class _Scanner:
     """Tokenizer shared by formula, tuple-id and rule text.
 
     ``line_no`` is the line the text starts on, so errors in one line of a
-    larger file name that file's line.
+    larger file name that file's line.  Whitespace is skipped once, after
+    each token, so ``pos`` is never on whitespace and ``peek``, ``take`` and
+    ``regex`` read at ``pos`` directly.
     """
 
     def __init__(self, text: str, line_no: int = 1):
         self.text = text
-        self.pos = 0
         self.line_no = line_no
+        self.advance(0)
 
     def error(self, message: str) -> ParseError:
         consumed = self.text[: self.pos]
@@ -431,19 +437,17 @@ class _Scanner:
         col = self.pos - (consumed.rfind("\n") + 1) + 1
         return ParseError(message, line, col)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+    def advance(self, end: int):
+        """Move to ``end``, the end of a token, then past any whitespace."""
+        self.pos = _WS.match(self.text, end).end()
 
     def peek(self, ahead: int = 0) -> str:
-        self.skip_ws()
         i = self.pos + ahead
         return self.text[i] if i < len(self.text) else ""
 
     def take(self, literal: str) -> bool:
-        self.skip_ws()
         if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
+            self.advance(self.pos + len(literal))
             return True
         return False
 
@@ -452,67 +456,58 @@ class _Scanner:
             raise self.error(f"expected {literal!r}")
 
     def regex(self, pattern: re.Pattern) -> str | None:
-        self.skip_ws()
         m = pattern.match(self.text, self.pos)
         if m is None:
             return None
-        self.pos = m.end()
+        self.advance(m.end())
         return m.group(0)
 
     def quoted(self) -> str:
-        # caller saw the opening quote
-        self.pos += 1
+        # caller saw the opening quote; a lone backslash at the end ends the body
+        body = _STRING_BODY.match(self.text, self.pos + 1)
+        if not self.text.startswith('"', body.end()):
+            self.pos = body.end()
+            raise self.error("unterminated string literal")
+        self.advance(body.end() + 1)
+        value = body.group()
+        return _ESCAPE.sub(r"\1", value) if "\\" in value else value
+
+    def items(self, read_item) -> tuple:
+        """``(item, ...)``, each item read by ``read_item(self)``; ``()`` is empty."""
+        self.expect("(")
         out = []
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "\\":
-                if self.pos + 1 >= len(self.text):
-                    break
-                out.append(self.text[self.pos + 1])
-                self.pos += 2
-                continue
-            if c == '"':
-                self.pos += 1
-                return "".join(out)
-            out.append(c)
-            self.pos += 1
-        raise self.error("unterminated string literal")
+        if self.peek() != ")":
+            out.append(read_item(self))
+            while self.take(","):
+                out.append(read_item(self))
+        self.expect(")")
+        return tuple(out)
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def end(self, what: str):
+        """Raise unless only whitespace is left after the ``what`` just read."""
+        if self.peek():
+            raise self.error(f"trailing input after {what}")
 
 
-def _parse_args(scanner: _Scanner) -> tuple:
-    scanner.expect("(")
-    args = []
-    if scanner.peek() != ")":
-        while True:
-            c = scanner.peek()
-            if c == '"':
-                args.append(scanner.quoted())
-            else:
-                token = scanner.regex(_BARE_ARG)
-                if token is None:
-                    raise scanner.error("expected a tuple argument")
-                args.append(parse_arg_token(token))
-            if not scanner.take(","):
-                break
-    scanner.expect(")")
-    return tuple(args)
+def _parse_arg(scanner: _Scanner):
+    if scanner.peek() == '"':
+        return scanner.quoted()
+    token = scanner.regex(_BARE_ARG)
+    if token is None:
+        raise scanner.error("expected a tuple argument")
+    return parse_arg_token(token)
 
 
-def parse_tuple_id(scanner_or_text, line_no: int = 1) -> TupleId:
+def parse_tuple_id(text: str, line_no: int = 1) -> TupleId:
     """Parse ``rel(arg,...)`` or ``#<int>``, text from line ``line_no``, into a TupleId."""
-    if isinstance(scanner_or_text, str):
-        scanner = _Scanner(scanner_or_text, line_no)
-        tid = parse_tuple_id(scanner)
-        if not scanner.at_end():
-            raise scanner.error("trailing input after tuple id")
-        return tid
-    scanner = scanner_or_text
-    if scanner.peek() == "#":
-        scanner.pos += 1
+    scanner = _Scanner(text, line_no)
+    tid = _parse_tuple_id(scanner)
+    scanner.end("tuple id")
+    return tid
+
+
+def _parse_tuple_id(scanner: _Scanner) -> TupleId:
+    if scanner.take("#"):
         token = scanner.regex(_INT_TOKEN)
         if token is None:
             raise scanner.error("expected an integer after '#'")
@@ -520,15 +515,14 @@ def parse_tuple_id(scanner_or_text, line_no: int = 1) -> TupleId:
     name = scanner.regex(_IDENT)
     if name is None:
         raise scanner.error("expected a relation name")
-    return TupleId(name, _parse_args(scanner))
+    return TupleId(name, scanner.items(_parse_arg))
 
 
 def parse_formula(text: str, line_no: int = 1) -> LineageFormula:
     """Parse the syntax of the module docstring; ``text`` starts on line ``line_no``."""
     scanner = _Scanner(text, line_no)
     phi = _parse_or(scanner)
-    if not scanner.at_end():
-        raise scanner.error("trailing input after formula")
+    scanner.end("formula")
     return phi
 
 
@@ -553,14 +547,12 @@ def _parse_unary(scanner: _Scanner) -> LineageFormula:
 
 
 def _parse_atom(scanner: _Scanner) -> LineageFormula:
-    c = scanner.peek()
-    if c == "(":
-        scanner.pos += 1
+    if scanner.take("("):
         phi = _parse_or(scanner)
         scanner.expect(")")
         return phi
-    if c == "#":
-        return Var(parse_tuple_id(scanner))
+    if scanner.peek() == "#":
+        return Var(_parse_tuple_id(scanner))
     name = scanner.regex(_IDENT)
     if name is None:
         raise scanner.error("expected a formula atom")
@@ -568,4 +560,4 @@ def _parse_atom(scanner: _Scanner) -> LineageFormula:
         return TRUE
     if name == "false":
         return FALSE
-    return Var(TupleId(name, _parse_args(scanner)))
+    return Var(TupleId(name, scanner.items(_parse_arg)))

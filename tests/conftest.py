@@ -132,7 +132,8 @@ def random_formula(rng: np.random.Generator, max_vars: int, max_depth: int = 4):
 
 
 def random_pmap(phi, rng: np.random.Generator, lo: float = 0.0, hi: float = 1.0):
-    return {t: lo + (hi - lo) * float(rng.random()) for t in tuple_set(phi)}
+    # draw in sorted order: a frozenset's order changes with the hash seed
+    return {t: lo + (hi - lo) * float(rng.random()) for t in sorted(tuple_set(phi))}
 
 
 def worlds_over(tuple_ids):

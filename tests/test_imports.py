@@ -1,8 +1,9 @@
 """Every name a module imports or defines is used.
 
 No linter runs on this code, so this parses each module of the package
-(except ``__init__``, which imports to re-export) and lists the imported
-names that the module never reads, and the names it defines at module level
+(except ``__init__``, which imports to re-export) and each script under
+``tools`` and ``demos``, and lists the imported names that it never reads.
+For the package modules it also lists the names they define at module level
 that it never reads, does not export in ``__all__``, and that no other module
 of the package imports.  A name counts as read when it appears as an
 expression, inside a string annotation, or in ``__all__``.
@@ -13,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pdblearn"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pdblearn"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*ROOT.glob("tools/*.py"), *ROOT.glob("demos/*.py")])
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -66,7 +69,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports("from x import y\n__all__ = ['y']\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     found = unused_imports(path.read_text(encoding="utf-8"))
     assert not found, f"{path.name} imports names it never uses: {found}"

@@ -186,9 +186,8 @@ class TestRulesAndLabelFiles:
             "Q\tbornIn(Spielberg,Cinncinati)\t0.3\n",
             encoding="utf-8",
         )
-        program = parse_program(STORY_RULES)
-        labels = load_labels(path, db, program)
-        derived = index_derived(ground(program, db))
+        derived = index_derived(ground(parse_program(STORY_RULES), db))
+        labels = load_labels(path, db, derived=derived)
         assert labels[0].formula == derived[
             ("wonPrize", ("Spielberg", "AcademyAward"))
         ].lineage
@@ -199,17 +198,17 @@ class TestRulesAndLabelFiles:
 
     def test_dangling_references(self, tmp_path):
         db, _ = story_db()
-        program = parse_program(STORY_RULES)
+        derived = index_derived(ground(parse_program(STORY_RULES), db))
         path = tmp_path / "labels.tsv"
         path.write_text("Q\twonPrize(Kubrick,AcademyAward)\t0.5\n", encoding="utf-8")
         with pytest.raises(DanglingReferenceError, match="line 1"):
-            load_labels(path, db, program)
+            load_labels(path, db, derived=derived)
         # Q rows need rules to resolve against
         with pytest.raises(DanglingReferenceError):
             load_labels(path, db)
         path.write_text("F\tmystery(1)\t0.5\n", encoding="utf-8")
         with pytest.raises(DanglingReferenceError):
-            load_labels(path, db, program)
+            load_labels(path, db, derived=derived)
 
     def test_label_parse_errors(self, tmp_path):
         db, _ = story_db()
@@ -230,14 +229,20 @@ class TestRulesAndLabelFiles:
 
     def test_syntax_errors_in_references_name_the_file_line(self, tmp_path):
         db, _ = story_db()
-        program = parse_program(STORY_RULES)
+        derived = index_derived(ground(parse_program(STORY_RULES), db))
         path = tmp_path / "labels.tsv"
         good = "F\tfromDomain(1, Wikipedia.org)\t0.5\n"
-        for bad in ("F\tfromDomain(1, & )\t0.5\n", "Q\twonPrize(Spielberg,\t0.5\n"):
+        # the column counts from the start of the file line: kind, tab, reference
+        for bad, col in (
+            ("F\tfromDomain(1, & )\t0.5\n", 17),
+            ("Q\twonPrize(Spielberg,\t0.5\n", 22),
+            ("F\tt(1) & | t(2)\t0.5\n", 10),
+        ):
             path.write_text(f"{good}% a comment\n{bad}{good}", encoding="utf-8")
             with pytest.raises(ParseError) as err:
-                load_labels(path, db, program)
-            assert err.value.line == 3, bad
+                load_labels(path, db, derived=derived)
+            assert (err.value.line, err.value.col) == (3, col), bad
+            assert str(err.value).endswith(f"at line 3, column {col}"), bad
 
 
 class TestProbabilitiesAndTraces:

@@ -295,6 +295,9 @@ class TestParsing:
     def test_quoted_and_numeric_arguments(self):
         phi = parse_formula('person("Ann Smith",42)')
         assert phi == Var(TupleId("person", ("Ann Smith", 42)))
+        # a backslash escapes the next character, a line break too
+        phi = parse_formula('t("a\\"b\\\\c\\\nd")')
+        assert phi == Var(TupleId("t", ('a"b\\c\nd',)))
 
     def test_synthetic_atom_syntax(self):
         assert parse_formula("#5") == Var(TupleId.synthetic(5))
@@ -304,6 +307,16 @@ class TestParsing:
             parse_formula("t(1) &")
         assert err.value.line == 1
         assert err.value.col == 7
+
+    @pytest.mark.parametrize(
+        "text, col", [('t("ab', 6), ('t("ab\\', 6), ('t("a\\"b', 8)]
+    )
+    def test_unterminated_string_is_reported_where_its_body_ends(self, text, col):
+        # an escaped quote does not close the string, and a lone backslash at
+        # the end of the text escapes nothing
+        with pytest.raises(ParseError, match="unterminated string literal") as err:
+            parse_formula(text)
+        assert (err.value.line, err.value.col) == (1, col)
 
     def test_trailing_garbage_is_rejected(self):
         with pytest.raises(ParseError):
