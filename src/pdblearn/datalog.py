@@ -11,10 +11,15 @@ identifiers, integers, and double-quoted strings are constants.  ``!`` negates
 a literal.  Comparisons use ``=  !=  <  <=  >  >=`` over integers or strings
 (lexicographic); comparing an integer against a string is an error.
 
-Safety requires at least one positive literal per rule and every variable of
-the head, of negated literals, and of comparisons to occur in a positive body
-literal.  Programs must be non-recursive: the dependency graph over derived
-relations is acyclic; grounding proceeds bottom-up along a topological order.
+Every check runs once, when a rule or program is built, parsed or not.
+Constants are ints or strs.  A rule is safe: it has a positive body literal,
+and every variable of the head, of negated literals, and of comparisons
+occurs in one.  A program is non-recursive (the dependency graph over
+derived relations is acyclic) and uses each relation at one arity.  It keeps
+those arities and its strata: each derived relation with its rules, in a
+``graphlib.TopologicalSorter`` order that takes the least ready relation
+first.  ``ground`` checks once each relation the program reads from the
+database.
 
 Grounding semantics over a probabilistic database:
 
@@ -34,16 +39,20 @@ known before any row is read.  Each ``ground`` call keeps one index per
 (relation, bound positions), built on first use from one sort of the
 relation: it maps the bound values to the matching rows in argument order.
 Strata run in dependency order, so a derived relation is complete before any
-rule reads it.  Every partial binding probes the index and unifies only the
-rows it returns, which also checks a variable repeated inside one literal,
-as in ``e(X, X)``.  Matching is type-strict: ``1`` and ``"1"`` differ.
-A negated literal is fully bound, so it looks its row up by its arguments.
+rule reads it.  Every partial binding probes the index, which matches the
+literal's constants and bound variables, so each row it returns only binds
+the literal's new variables and checks a variable repeated inside it, as in
+``e(X, X)``.  Matching is type-strict: ``1`` and ``"1"`` differ.  A negated
+literal is fully bound, so it looks its row up by its arguments.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Mapping, Sequence
 
 from .database import ProbabilisticDatabase
@@ -63,9 +72,8 @@ from .lineage import (
     TupleId,
     Var,
     args_sort_key,
-    format_arg,
 )
-from .lineage import _IDENT, _INT_TOKEN, _Scanner
+from .lineage import _IDENT, _INT_TOKEN, _Scanner, _quoted
 
 __all__ = [
     "Variable",
@@ -83,12 +91,12 @@ __all__ = [
 ]
 
 _COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -100,11 +108,20 @@ class Variable:
         return self.name
 
 
+def _check_terms(terms):
+    for term in terms:
+        if isinstance(term, bool) or not isinstance(term, (Variable, int, str)):
+            raise TypeError(f"rule constant must be int or str, got {term!r}")
+
+
 @dataclass(frozen=True)
 class Literal:
     relation: str
     args: tuple
     negated: bool = False
+
+    def __post_init__(self):
+        _check_terms(self.args)
 
     def variables(self) -> set:
         return {a for a in self.args if isinstance(a, Variable)}
@@ -120,6 +137,9 @@ class Comparison:
     left: object
     right: object
 
+    def __post_init__(self):
+        _check_terms((self.left, self.right))
+
     def variables(self) -> set:
         return {a for a in (self.left, self.right) if isinstance(a, Variable)}
 
@@ -130,30 +150,28 @@ class Comparison:
 def _format_term(term) -> str:
     if isinstance(term, Variable):
         return term.name
-    if isinstance(term, int):
+    # a string constant written bare must not re-parse as a variable or an integer
+    if isinstance(term, int) or re.fullmatch(r"[a-z][A-Za-z0-9_]*", term):
         return str(term)
-    # string constants must not re-parse as variables or integers
-    if re.fullmatch(r"[a-z][A-Za-z0-9_]*", term):
-        return term
-    return format_arg(term) if format_arg(term).startswith('"') else f'"{term}"'
+    return _quoted(term)
 
 
 @dataclass(frozen=True)
 class DeductionRule:
     head: Literal
     body: tuple  # Literals and Comparisons in source order
+    positive: tuple = field(init=False, repr=False, compare=False)
+    negative: tuple = field(init=False, repr=False, compare=False)
+    comparisons: tuple = field(init=False, repr=False, compare=False)
 
-    @property
-    def positive(self) -> tuple:
-        return tuple(b for b in self.body if isinstance(b, Literal) and not b.negated)
-
-    @property
-    def negative(self) -> tuple:
-        return tuple(b for b in self.body if isinstance(b, Literal) and b.negated)
-
-    @property
-    def comparisons(self) -> tuple:
-        return tuple(b for b in self.body if isinstance(b, Comparison))
+    def __post_init__(self):
+        literals = [b for b in self.body if isinstance(b, Literal)]
+        object.__setattr__(self, "positive", tuple(b for b in literals if not b.negated))
+        object.__setattr__(self, "negative", tuple(b for b in literals if b.negated))
+        object.__setattr__(
+            self, "comparisons", tuple(b for b in self.body if isinstance(b, Comparison))
+        )
+        _check_safety(self)
 
     def __str__(self):
         return format_rule(self)
@@ -162,14 +180,14 @@ class DeductionRule:
 @dataclass(frozen=True)
 class DeductionProgram:
     rules: tuple
+    # (derived relation, its rules) in dependency order
+    strata: tuple = field(init=False, repr=False, compare=False)
+    # relation -> arity, for every relation the rules name, in order of first use
+    arities: dict = field(init=False, repr=False, compare=False)
 
-    @property
-    def derived_relations(self) -> frozenset:
-        return frozenset(rule.head.relation for rule in self.rules)
-
-    def stratum_order(self) -> tuple:
-        """Derived relations in dependency order (validated acyclic)."""
-        return _topo_order(self.rules)
+    def __post_init__(self):
+        object.__setattr__(self, "strata", _strata(self.rules))
+        object.__setattr__(self, "arities", _arities(self.rules))
 
     def __str__(self):
         return format_program(self)
@@ -188,6 +206,64 @@ class DerivedTuple:
 
     def __str__(self):
         return f"{self.name}"
+
+
+def _check_safety(rule: DeductionRule):
+    if not rule.positive:
+        raise SafetyError(
+            f"rule for {rule.head.relation} has no positive body literal"
+        )
+    bound = set()
+    for literal in rule.positive:
+        bound |= literal.variables()
+    demanded = rule.head.variables()
+    for item in (*rule.negative, *rule.comparisons):
+        demanded |= item.variables()
+    unbound = sorted(v.name for v in demanded - bound)
+    if unbound:
+        raise SafetyError(
+            f"unsafe rule for {rule.head.relation}: "
+            f"variable(s) {', '.join(unbound)} not bound by a positive literal"
+        )
+
+
+def _strata(rules: Sequence[DeductionRule]) -> tuple:
+    by_head: dict[str, list] = {}
+    for rule in rules:
+        by_head.setdefault(rule.head.relation, []).append(rule)
+    graph = TopologicalSorter()
+    for rule in rules:
+        below = (lit.relation for lit in (*rule.positive, *rule.negative))
+        graph.add(rule.head.relation, *(rel for rel in below if rel in by_head))
+    try:
+        graph.prepare()
+    except CycleError as exc:
+        cycle = sorted(set(exc.args[1]))
+        raise CyclicProgramError(
+            f"recursive program: cycle through relation(s) {', '.join(cycle)}"
+        ) from None
+    # the least ready relation first, so the order does not depend on the rules' order
+    ready, strata = sorted(graph.get_ready()), []
+    while ready:
+        relation = heapq.heappop(ready)
+        strata.append((relation, tuple(by_head[relation])))
+        graph.done(relation)
+        for above in graph.get_ready():
+            heapq.heappush(ready, above)
+    return tuple(strata)
+
+
+def _arities(rules: Sequence[DeductionRule]) -> dict:
+    arity: dict[str, int] = {}
+    for rule in rules:
+        for literal in (rule.head, *rule.positive, *rule.negative):
+            seen = arity.setdefault(literal.relation, len(literal.args))
+            if seen != len(literal.args):
+                raise ArityError(
+                    f"relation {literal.relation} used with arity {len(literal.args)} "
+                    f"and {seen}"
+                )
+    return arity
 
 
 # --- parsing ------------------------------------------------------------------
@@ -243,30 +319,7 @@ def parse_rule(text: str, line_no: int = 1) -> DeductionRule:
         body.append(_parse_body_item(scanner))
     scanner.expect(".")
     scanner.end("rule")
-    rule = DeductionRule(head, tuple(body))
-    _check_safety(rule)
-    return rule
-
-
-def _check_safety(rule: DeductionRule):
-    if not rule.positive:
-        raise SafetyError(
-            f"rule for {rule.head.relation} has no positive body literal"
-        )
-    bound = set()
-    for literal in rule.positive:
-        bound |= literal.variables()
-    demanded = rule.head.variables()
-    for literal in rule.negative:
-        demanded |= literal.variables()
-    for comparison in rule.comparisons:
-        demanded |= comparison.variables()
-    unbound = sorted(v.name for v in demanded - bound)
-    if unbound:
-        raise SafetyError(
-            f"unsafe rule for {rule.head.relation}: "
-            f"variable(s) {', '.join(unbound)} not bound by a positive literal"
-        )
+    return DeductionRule(head, tuple(body))
 
 
 # a line's text before its comment: quoted strings may hold a ``%``
@@ -281,49 +334,7 @@ def parse_program(text: str) -> DeductionProgram:
         if not line:
             continue
         rules.append(parse_rule(line, line_no))
-    program = DeductionProgram(tuple(rules))
-    _topo_order(program.rules)  # validates non-recursion
-    _check_arities(program.rules)
-    return program
-
-
-def _check_arities(rules: Sequence[DeductionRule]):
-    arity: dict[str, int] = {}
-    for rule in rules:
-        for literal in (rule.head, *rule.positive, *rule.negative):
-            seen = arity.setdefault(literal.relation, len(literal.args))
-            if seen != len(literal.args):
-                raise ArityError(
-                    f"relation {literal.relation} used with arity {len(literal.args)} "
-                    f"and {seen}"
-                )
-
-
-def _topo_order(rules: Sequence[DeductionRule]) -> tuple:
-    derived = {rule.head.relation for rule in rules}
-    deps: dict[str, set] = {rel: set() for rel in derived}
-    for rule in rules:
-        for literal in (*rule.positive, *rule.negative):
-            if literal.relation in derived:
-                deps[rule.head.relation].add(literal.relation)
-    order = []
-    ready = sorted(rel for rel, below in deps.items() if not below)
-    remaining = {rel: set(below) for rel, below in deps.items()}
-    while ready:
-        rel = ready.pop(0)
-        order.append(rel)
-        for above, below in remaining.items():
-            if rel in below:
-                below.discard(rel)
-                if not below and above not in order and above not in ready:
-                    ready.append(above)
-        ready.sort()
-    if len(order) != len(derived):
-        cycle = sorted(rel for rel, below in remaining.items() if below)
-        raise CyclicProgramError(
-            f"recursive program: cycle through relation(s) {', '.join(cycle)}"
-        )
-    return tuple(order)
+    return DeductionProgram(tuple(rules))
 
 
 def format_rule(rule: DeductionRule) -> str:
@@ -340,15 +351,13 @@ def format_program(program: DeductionProgram) -> str:
 
 def ground(program: DeductionProgram, db: ProbabilisticDatabase) -> tuple:
     """Bottom-up grounding; returns DerivedTuples sorted by relation and arguments."""
-    derived_relations = program.derived_relations
-    order = program.stratum_order()
-    _validate_against_db(program, db, derived_relations)
+    _validate_against_db(program, db)
 
     # rows per relation: ground args -> lineage; derived relations shadow stored ones
     rows: dict[str, dict] = {}
     for t in db.tuples:
         rows.setdefault(t.relation, {})[t.key] = Var(t)
-    rows.update({rel: {} for rel in derived_relations})
+    rows.update({relation: {} for relation, _ in program.strata})
     # (relation, bound positions) -> bound values -> [(args, lineage)] in args_sort_key order
     indexes: dict[tuple, dict] = {}
 
@@ -356,18 +365,14 @@ def ground(program: DeductionProgram, db: ProbabilisticDatabase) -> tuple:
         index = indexes.get((relation, positions))
         if index is None:
             index = indexes[relation, positions] = {}
-            table = rows.get(relation, {})
+            table = rows[relation]
             for key in sorted(table, key=args_sort_key):
                 index.setdefault(tuple(key[i] for i in positions), []).append((key, table[key]))
         return index.get(values, ())
 
-    rules_by_head: dict[str, list] = {}
-    for rule in program.rules:
-        rules_by_head.setdefault(rule.head.relation, []).append(rule)
-
-    for relation in order:
+    for relation, rules in program.strata:
         collected: dict[tuple, list] = {}
-        for rule in rules_by_head[relation]:
+        for rule in rules:
             for theta, parts in _instantiate(rule, rows, matches):
                 head_args = tuple(_apply(theta, a) for a in rule.head.args)
                 conjunct = And(*parts)
@@ -382,25 +387,23 @@ def ground(program: DeductionProgram, db: ProbabilisticDatabase) -> tuple:
 
     return tuple(
         DerivedTuple(relation, args, formula)
-        for relation in sorted(derived_relations)
+        for relation in sorted(relation for relation, _ in program.strata)
         for args, formula in rows[relation].items()  # filled in args_sort_key order
     )
 
 
-def _validate_against_db(program, db, derived_relations):
-    for rule in program.rules:
-        for literal in (*rule.positive, *rule.negative):
-            if literal.relation in derived_relations:
-                continue
-            if literal.relation not in db.relations:
-                raise UnknownRelationError(
-                    f"relation {literal.relation} is neither stored nor derived"
-                )
-            if db.arity(literal.relation) != len(literal.args):
-                raise ArityError(
-                    f"relation {literal.relation} has arity {db.arity(literal.relation)}, "
-                    f"used with {len(literal.args)}"
-                )
+def _validate_against_db(program: DeductionProgram, db: ProbabilisticDatabase):
+    derived = {relation for relation, _ in program.strata}
+    stored = set(db.relations)
+    for relation, arity in program.arities.items():
+        if relation in derived:
+            continue
+        if relation not in stored:
+            raise UnknownRelationError(f"relation {relation} is neither stored nor derived")
+        if db.arity(relation) != arity:
+            raise ArityError(
+                f"relation {relation} has arity {db.arity(relation)}, used with {arity}"
+            )
 
 
 def _apply(theta: Mapping, term):
@@ -411,7 +414,6 @@ def _apply(theta: Mapping, term):
 
 def _instantiate(rule: DeductionRule, rows, matches):
     """Yield (theta, lineage parts) for every satisfied body instantiation."""
-    negative, comparisons = rule.negative, rule.comparisons
     bindings = [({}, [])]
     seen: set = set()  # variables bound by the positive literals so far
     for literal in rule.positive:
@@ -419,42 +421,38 @@ def _instantiate(rule: DeductionRule, rows, matches):
         positions = tuple(
             i for i, a in enumerate(args) if not isinstance(a, Variable) or a in seen
         )
+        fresh = tuple(
+            (i, a) for i, a in enumerate(args) if isinstance(a, Variable) and a not in seen
+        )
         seen |= literal.variables()
         next_bindings = []
         for theta, parts in bindings:
             values = tuple(_apply(theta, args[i]) for i in positions)
             for key, lineage in matches(literal.relation, positions, values):
-                theta2 = _unify(literal.args, key, theta)
+                theta2 = _bind(theta, fresh, key)
                 if theta2 is not None:
                     next_bindings.append((theta2, parts + [lineage]))
         bindings = next_bindings
         if not bindings:
             return
     for theta, parts in bindings:
-        if not all(_holds(c, theta) for c in comparisons):
+        if not all(_holds(c, theta) for c in rule.comparisons):
             continue
-        for literal in negative:
+        for literal in rule.negative:
             args = tuple(_apply(theta, a) for a in literal.args)
-            match = rows.get(literal.relation, {}).get(args)
+            match = rows[literal.relation].get(args)
             if match is not None:
                 parts = parts + [Not(match)]
         yield theta, parts
 
 
-def _unify(terms, values, theta):
-    out = None
-    for term, value in zip(terms, values):
-        if isinstance(term, Variable):
-            bound = theta.get(term) if out is None else out.get(term)
-            if bound is None:
-                if out is None:
-                    out = dict(theta)
-                out[term] = value
-            elif bound != value or type(bound) is not type(value):
-                return None
-        elif term != value or type(term) is not type(value):
+def _bind(theta: Mapping, fresh: tuple, key: tuple):
+    """``theta`` with ``fresh``'s (position, variable) pairs bound from ``key``; None on a clash."""
+    out = dict(theta)
+    for i, var in fresh:
+        if out.setdefault(var, key[i]) != key[i]:
             return None
-    return theta if out is None else out
+    return out
 
 
 def _holds(comparison: Comparison, theta) -> bool:

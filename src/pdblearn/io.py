@@ -96,9 +96,14 @@ def load_tuples(path) -> ProbabilisticDatabase:
     return db
 
 
+def _breaks(text: str) -> bool:
+    """Whether ``text`` holds a line break, which would split a line."""
+    return text.splitlines() not in ([], [text])
+
+
 def _splits(text: str) -> bool:
     """Whether ``text`` holds a tab or a line break, which would split a row."""
-    return "\t" in text or text.splitlines() not in ([], [text])
+    return "\t" in text or _breaks(text)
 
 
 def _row(t: TupleId, last: str) -> str:
@@ -141,6 +146,14 @@ def load_rules(path) -> DeductionProgram:
 
 
 def save_rules(program, path) -> None:
+    """Write rule text as it is, or a program one rule per line.
+
+    Raises ValueError for a rule whose constant holds a line break.
+    """
+    if not isinstance(program, str):
+        for line in map(str, program.rules):
+            if _breaks(line):
+                raise ValueError(f"rule {line!r} would not read back: it holds a line break")
     text = program if isinstance(program, str) else str(program)
     if text and not text.endswith("\n"):
         text += "\n"
@@ -191,18 +204,24 @@ def load_labels(path, db: ProbabilisticDatabase, derived: Mapping | None = None)
     return tuple(labels)
 
 
+def _label_rows(kind: str, refs) -> str:
+    """``kind<TAB>reference<TAB>target`` rows; ValueError for a reference that splits its row."""
+    rows = []
+    for ref, target in refs:
+        if _splits(ref):
+            raise ValueError(f"label {ref!r} would not read back: it holds a tab or a line break")
+        rows.append(f"{kind}\t{ref}\t{target:.17g}\n")
+    return "".join(rows)
+
+
 def save_labels(labels: Sequence[Label], path) -> None:
-    lines = [
-        "\t".join(["F", format_formula(lab.formula), f"{lab.target:.17g}"])
-        for lab in labels
-    ]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    refs = ((format_formula(lab.formula), lab.target) for lab in labels)
+    Path(path).write_text(_label_rows("F", refs), encoding="utf-8")
 
 
 def save_label_refs(refs: Sequence[tuple], path) -> None:
     """Write Q-style label rows from (derived name text, target) pairs."""
-    lines = ["\t".join(["Q", name, f"{target:.17g}"]) for name, target in refs]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    Path(path).write_text(_label_rows("Q", refs), encoding="utf-8")
 
 
 def load_probabilities(path) -> dict:

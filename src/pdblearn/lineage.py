@@ -140,6 +140,11 @@ def format_arg(value) -> str:
         return str(value)
     if _BARE_ARG.fullmatch(value) and not _INT_TOKEN.fullmatch(value):
         return value
+    return _quoted(value)
+
+
+def _quoted(value: str) -> str:
+    """``value`` in double quotes, with its backslashes and quotes escaped."""
     escaped = value.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 

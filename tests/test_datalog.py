@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 from pdblearn import (
     And,
     ArityError,
+    Comparison,
     ComparisonTypeError,
     CyclicProgramError,
+    DeductionProgram,
+    DeductionRule,
+    Literal,
     Not,
     Or,
     ParseError,
@@ -17,6 +21,7 @@ from pdblearn import (
     TupleId,
     UnknownRelationError,
     Var,
+    Variable,
     evaluate,
     format_program,
     format_rule,
@@ -29,6 +34,15 @@ from pdblearn import (
 from pdblearn import datalog
 
 from conftest import STORY_RULES, story_db, worlds_over
+
+
+X, Y = Variable("X"), Variable("Y")
+
+
+def _built(text):
+    """The program of ``text`` assembled in code from its rules' parts."""
+    rules = [parse_rule(line) for line in text.splitlines()]
+    return DeductionProgram(tuple(DeductionRule(r.head, r.body) for r in rules))
 
 
 class TestParsing:
@@ -47,9 +61,14 @@ class TestParsing:
         ]
 
     def test_unbound_head_variable_is_rejected(self):
-        with pytest.raises(SafetyError) as err:
-            parse_program("bad(X) :- r(Y).")
-        assert "X" in str(err.value)
+        # a rule built in code is checked as a parsed one is
+        for build in (
+            lambda: parse_program("bad(X) :- r(Y)."),
+            lambda: DeductionRule(Literal("bad", (X,)), (Literal("r", (Y,)),)),
+        ):
+            with pytest.raises(SafetyError) as err:
+                build()
+            assert "X" in str(err.value)
 
     def test_unbound_negated_variable_is_rejected(self):
         with pytest.raises(SafetyError):
@@ -66,17 +85,36 @@ class TestParsing:
     def test_rule_needs_a_positive_literal(self):
         with pytest.raises((SafetyError, ParseError)):
             parse_program("q(1) :- !r(1).")
+        with pytest.raises(SafetyError):
+            DeductionRule(Literal("q", (1,)), (Literal("r", (1,), negated=True),))
+
+    @pytest.mark.parametrize("constant", [1.0, True, None, b"1"])
+    def test_constants_are_ints_or_strs(self, constant):
+        with pytest.raises(TypeError):
+            Literal("r", (X, constant))
+        with pytest.raises(TypeError):
+            Comparison("<", X, constant)
+
+    @pytest.mark.parametrize("parse", [parse_program, _built], ids=["parsed", "built"])
+    def test_relation_at_two_arities_is_rejected(self, parse):
+        text = "q(X) :- r(X).\nq(X,X) :- r(X)."
+        with pytest.raises(ArityError) as err:
+            parse(text)
+        assert str(err.value) == "relation q used with arity 2 and 1"
 
     def test_comments_and_blank_lines_are_skipped(self):
         prog = parse_program("% nothing here\n\nq(X) :- r(X).\n% tail\n")
         assert len(prog.rules) == 1
 
     def test_recursion_is_rejected_naming_the_cycle(self):
-        with pytest.raises(CyclicProgramError) as err:
-            parse_program("a(X) :- b(X).\nb(X) :- a(X).")
-        assert "a" in str(err.value) and "b" in str(err.value)
-        with pytest.raises(CyclicProgramError):
-            parse_program("a(X) :- a(X).")
+        for parse in (parse_program, _built):
+            # c reads the cycle but is not on it
+            with pytest.raises(CyclicProgramError) as err:
+                parse("a(X) :- b(X).\nb(X) :- a(X).\nc(X) :- a(X).")
+            assert str(err.value) == "recursive program: cycle through relation(s) a, b"
+            with pytest.raises(CyclicProgramError) as err:
+                parse("a(X) :- a(X).")
+            assert str(err.value) == "recursive program: cycle through relation(s) a"
 
     def test_syntax_errors_carry_position(self):
         with pytest.raises(ParseError) as err:
@@ -224,14 +262,14 @@ class TestGrounding:
         for i in range(n):
             db.add(TupleId("edge", (i, i + 1)), 0.5)
         inspected = 0
-        unify = datalog._unify
+        bind = datalog._bind
 
-        def counting_unify(terms, values, theta):
+        def counting_bind(theta, fresh, key):
             nonlocal inspected
             inspected += 1
-            return unify(terms, values, theta)
+            return bind(theta, fresh, key)
 
-        monkeypatch.setattr(datalog, "_unify", counting_unify)
+        monkeypatch.setattr(datalog, "_bind", counting_bind)
         derived = ground(parse_program("path(X,Z) :- edge(X,Y), edge(Y,Z)."), db)
         assert [d.args for d in derived] == [(i, i + 2) for i in range(n - 1)]
         assert inspected <= 3 * n, inspected

@@ -14,6 +14,7 @@ import pdblearn
 from pdblearn import (
     And,
     DanglingReferenceError,
+    DeductionProgram,
     Label,
     LearnerConfig,
     LearningProblem,
@@ -34,9 +35,11 @@ from pdblearn import (
     load_rules,
     load_tuples,
     parse_program,
+    parse_rule,
     prob_exact,
     run_bench,
     save_bench,
+    save_label_refs,
     save_labels,
     save_probabilities,
     save_rules,
@@ -163,6 +166,17 @@ class TestRulesAndLabelFiles:
         save_rules(program, tmp_path / "again.dl")
         assert load_rules(tmp_path / "again.dl") == program
 
+    @pytest.mark.parametrize("constant", ["a\nb", "a\r\nb", "a\u2028b"])
+    def test_rules_with_a_line_break_in_a_constant_are_refused(self, tmp_path, constant):
+        path = tmp_path / "rules.dl"
+        program = DeductionProgram((parse_rule(f'q(X) :- r(X, "{constant}").'),))
+        with pytest.raises(ValueError, match=r"rule 'q\(X\) :- r\(X, "):
+            save_rules(program, path)
+        # a tab inside a quoted constant reads back
+        program = parse_program('q(X) :- r(X, "a\tb").')
+        save_rules(program, path)
+        assert load_rules(path) == program
+
     def test_formula_labels_round_trip(self, tmp_path):
         labels = (
             Label(Or(v(1), And(v(2), Not(v(3)))), 0.7),
@@ -177,6 +191,17 @@ class TestRulesAndLabelFiles:
         assert [(l.formula, l.target) for l in back] == [
             (l.formula, l.target) for l in labels
         ]
+
+    @pytest.mark.parametrize("arg", ["a\tb", "c\nd", "e\rf"])
+    def test_formula_labels_that_would_split_their_row_are_refused(self, tmp_path, arg):
+        label = Label(Var(TupleId("t", (arg,))), 0.5)
+        with pytest.raises(ValueError, match=r"label 't\(\""):
+            save_labels((Label(v(1), 0.5), label), tmp_path / "labels.tsv")
+
+    @pytest.mark.parametrize("name", ['t("a\tb")', 't("c\nd")'])
+    def test_label_refs_that_would_split_their_row_are_refused(self, tmp_path, name):
+        with pytest.raises(ValueError, match=r"label 't\(\""):
+            save_label_refs([("t(1)", 0.5), (name, 0.5)], tmp_path / "labels.tsv")
 
     def test_derived_tuple_labels_resolve_through_rules(self, tmp_path):
         db, ids = story_db()

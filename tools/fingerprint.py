@@ -28,16 +28,23 @@ against an older ``src`` through ``PYTHONPATH`` as it is.  It covers:
 * ``compile_probability`` on 200 seeded random formulas over eight tuples,
   whose decompositions hold Shannon expansions, disjoint disjunctions and
   leaves read both inside and outside a product of literals, each evaluated
-  at maps with probabilities near 0 and 1.
+  at maps with probabilities near 0 and 1;
+* ``ground`` on ``demos/data``'s tuples and rules, on the rules of
+  ``gen_synthetic_srl(2000, n_tuples=200, blocks=2)``, and on small programs
+  with negation over a derived relation, a comparison, a variable repeated
+  inside a literal (``e(X, X)``), and the constants ``1`` and ``"1"``.
 
 For each run it prints the status, the iteration count, ``best``, the trace
 objectives, the accepted objective parts (``record_accepted=True``; not
 exposed by ``solve_3sat``) and the learned probabilities in sorted tuple
-order, and for each compiled formula its text and its values.  It takes about
+order, for each compiled formula its text and its values, and for each
+derived tuple its name and its lineage's text.  It takes about
 half a minute (30 s) on a 2-CPU host.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -56,8 +63,12 @@ from pdblearn import (
     encode_3sat,
     format_formula,
     gen_synthetic_srl,
+    ground,
     learn,
+    load_rules,
+    load_tuples,
     parse_formula,
+    parse_program,
     prob_exact,
     random_3sat,
     solve_3sat,
@@ -65,6 +76,15 @@ from pdblearn import (
 )
 
 OPTIMIZERS = ("sgd-per-tuple", "sgd-single", "gd")
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+# rules over small_db(); the constants 1 and "1" differ
+SMALL_PROGRAMS = (
+    "f(X) :- n(X), m(X).\ng(X) :- n(X), !f(X).\nh(X,Y) :- g(X), e(X,Y), !f(Y).",
+    "lt(X,Y) :- w(X,S), w(Y,T), S < T.\nge(X) :- w(X,S), S >= 10, !lt(X,X).",
+    "loop(X) :- e(X,X).\nback(X,Y) :- e(X,Y), e(Y,X).",
+    'i(X) :- e(X,1).\ns(X) :- e(X,"1").\nk(Y) :- e(1,Y).\nb(X) :- e(X,1), e(X,"1").',
+)
 
 
 def show(name, result):
@@ -191,6 +211,33 @@ def compiled_values(seed):
         print(format_formula(phi), *(f(p).hex() for p in maps))
 
 
+def show_ground(name, program, db):
+    print(f"== ground {name}")
+    for d in ground(program, db):
+        print(d, format_formula(d.lineage))
+
+
+def small_db():
+    db = ProbabilisticDatabase()
+    for key in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (1, "1"), ("1", 1), (2, "1")):
+        db.add(TupleId("e", key), 0.5)
+    for x in (1, 2, 3):
+        db.add(TupleId("n", (x,)), 0.5)
+        db.add(TupleId("w", (x, 5 * x + 3)), 0.5)
+    db.add(TupleId("m", (2,)), 0.5)
+    return db
+
+
+def grounding():
+    demo_db = load_tuples(DEMO_DATA / "tuples.tsv")
+    show_ground("demos/data", load_rules(DEMO_DATA / "rules.dl"), demo_db)
+    srl = gen_synthetic_srl(2000, n_tuples=200, blocks=2)
+    show_ground("srl", parse_program(srl.rules), srl.db)
+    db = small_db()
+    for k, text in enumerate(SMALL_PROGRAMS):
+        show_ground(f"small {k}", parse_program(text), db)
+
+
 def main():
     srl = gen_synthetic_srl(10000, n_tuples=1000, blocks=4)
     srl_runs("srl", LearningProblem(srl.db, srl.labels), (1, 2, 4))
@@ -267,6 +314,7 @@ def main():
     show("update_clean with a prior", clean.result)
 
     compiled_values(5)
+    grounding()
 
 
 if __name__ == "__main__":
