@@ -22,8 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._rng import SeedSequence
 from .database import ProbabilisticDatabase
 from .datalog import DeductionProgram, DeductionRule, Literal, ground, index_derived
 from .errors import InconsistentConstraintsError, NoEvidenceError
@@ -56,7 +55,7 @@ __all__ = [
 
 
 def _seed_ints(seed: int, n: int) -> list:
-    return [int(x) for x in np.random.SeedSequence(seed).generate_state(n)]
+    return SeedSequence(seed).generate_state(n)
 
 
 def _best_restart(problem: LearningProblem, seed: int, restarts: int, **cfg_fields):

@@ -12,11 +12,13 @@ a literal.  Comparisons use ``=  !=  <  <=  >  >=`` over integers or strings
 (lexicographic); comparing an integer against a string is an error.
 
 Every check runs once, when a rule or program is built, parsed or not.
-Constants are ints or strs.  A rule is safe: it has a positive body literal,
-and every variable of the head, of negated literals, and of comparisons
-occurs in one.  A program is non-recursive (the dependency graph over
-derived relations is acyclic) and uses each relation at one arity.  It keeps
-those arities and its strata: each derived relation with its rules, in a
+Constants are ints or strs, and comparisons use the six operators above.  A
+rule's head is a positive literal, and its body holds only literals and
+comparisons.  A rule is safe: it has a positive body literal, and every
+variable of the head, of negated literals, and of comparisons occurs in one.
+A program is non-recursive (the dependency graph over derived relations is
+acyclic) and uses each relation at one arity.  It keeps those arities and its
+strata: each derived relation with its rules, in a
 ``graphlib.TopologicalSorter`` order that takes the least ready relation
 first.  ``ground`` checks once each relation the program reads from the
 database.
@@ -138,6 +140,11 @@ class Comparison:
     right: object
 
     def __post_init__(self):
+        if self.op not in _COMPARATORS:
+            raise ValueError(
+                f"unknown comparison operator {self.op!r}, expected one of "
+                + " ".join(_COMPARATORS)
+            )
         _check_terms((self.left, self.right))
 
     def variables(self) -> set:
@@ -165,6 +172,13 @@ class DeductionRule:
     comparisons: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.head.negated:
+            raise ValueError(f"rule head {self.head} must not be negated")
+        for item in self.body:
+            if not isinstance(item, (Literal, Comparison)):
+                raise TypeError(
+                    f"rule body item must be a Literal or a Comparison, got {item!r}"
+                )
         literals = [b for b in self.body if isinstance(b, Literal)]
         object.__setattr__(self, "positive", tuple(b for b in literals if not b.negated))
         object.__setattr__(self, "negative", tuple(b for b in literals if b.negated))

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .database import ProbabilisticDatabase
 from .errors import InconsistentConstraintsError
 from .learning import Label
@@ -43,6 +41,8 @@ def gen_synthetic_srl(
         raise ValueError("need at least 6 tuples per block")
     if n_tuples % blocks != 0:
         raise ValueError("blocks must divide n_tuples evenly")
+    import numpy as np  # here, so that importing pdblearn does not load numpy
+
     rng = np.random.default_rng(seed)
     db = ProbabilisticDatabase()
     ids = [TupleId("t", (i,)) for i in range(n_tuples)]
@@ -97,6 +97,8 @@ def random_3sat(
     """
     if not 3 <= n_vars <= 20:
         raise ValueError("n_vars must lie in [3, 20]")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     # all assignments as a 2^n x n Boolean table, variable i in column i-1
     count = 1 << n_vars

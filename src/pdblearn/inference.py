@@ -49,8 +49,6 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     FormulaTooLargeError,
     IntractableFormulaError,
@@ -85,6 +83,8 @@ MAX_NODES = 4096
 
 
 def _eval_vectorized(phi: LineageFormula, bits: dict) -> np.ndarray:
+    import numpy as np
+
     if isinstance(phi, Var):
         return bits[phi.tuple_id]
     if isinstance(phi, Constant):
@@ -119,6 +119,8 @@ def prob_bruteforce(
         probs = [float(p[t]) for t in ordered]
     except KeyError as exc:
         raise MissingProbabilityError(exc.args[0]) from None
+    import numpy as np  # here, so that importing pdblearn does not load numpy
+
     indices = np.arange(1 << n, dtype=np.int64)
     bits = {t: (indices >> i & 1).astype(bool) for i, t in enumerate(ordered)}
     weights = np.ones(1 << n, dtype=np.float64)

@@ -24,6 +24,12 @@ Variants: ``sgd-single`` shares one rate across all tuples; ``gd`` visits the
 tuples in order, drawing nothing from the RNG, and takes all their steps from
 one point as a single step with one rate.
 
+Random draws: ``SeedSequence(seed)`` spawns one child for the initial
+probabilities, drawn uniformly in sorted tuple order, and one per component
+for its pass orders.  Both come from ``_rng``, which reproduces numpy's
+``SeedSequence`` and ``default_rng`` (PCG64) bit for bit, so a seed learns
+what it learned under numpy without importing numpy.
+
 Tuples that never co-occur in a label cannot influence each other, so the
 tuple-label incidence graph is split into connected components which are
 optimized independently.  Each component is one object that compiles, keeps
@@ -63,8 +69,8 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import multiprocessing
-import numpy as np
 
+from ._rng import Generator, SeedSequence
 from .database import ProbabilisticDatabase
 from .errors import (
     DanglingReferenceError,
@@ -362,7 +368,7 @@ class _Component:
     label_weights: tuple  # likewise
     fixed: dict  # known probabilities the formulas need, in sorted tuple order
     cfg: LearnerConfig
-    rng: np.random.Generator
+    rng: Generator
 
     def __post_init__(self):
         self.weights = [logit(p) for p in self.start_p]  # logit-space parameters
@@ -477,7 +483,7 @@ class _Component:
         value = self.value
         steps = [0.0] * n
         kept = []  # the part after each accepted step
-        order = range(n) if gd else self.rng.permutation(n).tolist()
+        order = range(n) if gd else self.rng.permutation(n)
         for idx in order:
             touched = incidence[idx]
             p_t = probs[idx]
@@ -701,9 +707,9 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
     elapsed_ms = lambda: (time.perf_counter() - start) * 1000.0
 
     # deterministic initialization in sorted tuple order
-    seed_seq = np.random.SeedSequence(cfg.seed)
+    seed_seq = SeedSequence(cfg.seed)
     children = seed_seq.spawn(len(grouped) + 1)
-    init_rng = np.random.default_rng(children[0])
+    init_rng = Generator(children[0])
     ordered_learnable = sorted(learnable)
     init_p = {}
     for t in ordered_learnable:
@@ -711,7 +717,7 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
         # draw in a hundred, expit(logit(p)) is an ulp away from p, so the
         # initial parts, evaluated at start_p, can differ in the last bit from
         # the same parts at expit(w)
-        init_p[t] = expit(logit(float(init_rng.random())))
+        init_p[t] = expit(logit(init_rng.random()))
 
     components: list = []
     fixed_part = 1.0 if logical else 0.0
@@ -733,7 +739,7 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
             label_weights=tuple(label_weights[i] for i in label_indices),
             fixed={t: problem.db.probability(t) for t in sorted(mentioned - learnable)},
             cfg=cfg,
-            rng=np.random.default_rng(children[len(components) + 1]),
+            rng=Generator(children[len(components) + 1]),
         )
         if tuples:
             components.append(comp)

@@ -95,6 +95,20 @@ class TestParsing:
         with pytest.raises(TypeError):
             Comparison("<", X, constant)
 
+    def test_rules_built_in_code_keep_to_the_syntax(self):
+        # a negated head would ground as a positive one and format as text
+        # that does not parse
+        with pytest.raises(ValueError, match="must not be negated"):
+            DeductionRule(Literal("q", (X,), negated=True), (Literal("r", (X,)),))
+        for item in ("r(X)", Variable("X"), None):
+            with pytest.raises(TypeError, match="Literal or a Comparison"):
+                DeductionRule(Literal("q", (X,)), (Literal("r", (X,)), item))
+
+    @pytest.mark.parametrize("op", ["~", "==", "<>", ""])
+    def test_unknown_comparison_operator_is_named(self, op):
+        with pytest.raises(ValueError, match=f"operator {op!r}"):
+            Comparison(op, X, 1)
+
     @pytest.mark.parametrize("parse", [parse_program, _built], ids=["parsed", "built"])
     def test_relation_at_two_arities_is_rejected(self, parse):
         text = "q(X) :- r(X).\nq(X,X) :- r(X)."

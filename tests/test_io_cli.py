@@ -556,17 +556,24 @@ class TestBenchHarness:
 SRC = Path(pdblearn.__file__).resolve().parent.parent
 
 
-def run_cli(args, cwd):
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "pdblearn", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
         timeout=180,
     )
+
+
+def run_cli(args, cwd):
+    return run_python(["-m", "pdblearn", *args], cwd)
 
 
 @pytest.fixture
@@ -778,6 +785,60 @@ class TestCli:
             tmp_path / "one" / "labels.tsv",
         )
         assert len(instance.labels) == 6
+
+    def test_importing_the_package_and_cli_loads_no_numpy(self, tmp_path):
+        code = "import sys, pdblearn, pdblearn.cli; print('numpy' in sys.modules)"
+        out = run_python(["-c", code], tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "False\n"
+
+    def test_learn_runs_where_numpy_cannot_be_imported(self, tmp_path):
+        # the README's learn at two threads; the forked worker inherits the block
+        args = [
+            "learn",
+            "--tuples",
+            str(DEMO_DATA / "tuples.tsv"),
+            "--rules",
+            str(DEMO_DATA / "rules.dl"),
+            "--labels",
+            str(DEMO_DATA / "labels.tsv"),
+            "--threads",
+            "2",
+        ]
+        code = (
+            "import runpy, sys; sys.modules['numpy'] = None; "
+            "runpy.run_module('pdblearn', run_name='__main__')"
+        )
+        blocked = run_python(["-c", code, *args], tmp_path)
+        plain = run_cli(args, tmp_path)
+        assert blocked.returncode == 0, blocked.stderr
+        assert plain.returncode == 0, plain.stderr
+        assert "status=eps_abs" in blocked.stderr
+        assert blocked.stdout.count("\n") == 5  # one row per learnable tuple
+        assert (blocked.stdout, blocked.stderr) == (plain.stdout, plain.stderr)
+
+    def test_gen_srl_imports_numpy_when_it_runs(self, tmp_path):
+        code = (
+            "import sys; from pdblearn.cli import main; "
+            "before = 'numpy' in sys.modules; "
+            "code = main(['gen', 'srl', '--n-labels', '50', '--n-tuples', '120', "
+            "'--blocks', '2', '--out-dir', 'inst']); "
+            "print(before, code, 'numpy' in sys.modules)"
+        )
+        out = run_python(["-c", code], tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "0", "True"]
+        inst = gen_synthetic_srl(50, n_tuples=120, blocks=2)
+        rules = (tmp_path / "inst" / "rules.dl").read_text(encoding="utf-8")
+        assert rules == inst.rules
+        loaded = load_instance(
+            tmp_path / "inst" / "tuples.tsv",
+            tmp_path / "inst" / "rules.dl",
+            tmp_path / "inst" / "labels.tsv",
+        )
+        assert [(l.formula, l.target) for l in loaded.labels] == [
+            (l.formula, l.target) for l in inst.labels
+        ]
 
     def test_gen_3sat_writes_a_loadable_instance(self, tmp_path):
         out = run_cli(
