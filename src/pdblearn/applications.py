@@ -54,10 +54,6 @@ __all__ = [
 ]
 
 
-def _seed_ints(seed: int, n: int) -> list:
-    return SeedSequence(seed).generate_state(n)
-
-
 def _best_restart(problem: LearningProblem, seed: int, restarts: int, **cfg_fields):
     """Seeded restarts, with eps_rel off, until one reaches eps_abs.
 
@@ -67,7 +63,7 @@ def _best_restart(problem: LearningProblem, seed: int, restarts: int, **cfg_fiel
         raise ValueError("restarts must be >= 1")
     best_run = None
     used = 0
-    for run_seed in _seed_ints(seed, restarts):
+    for run_seed in SeedSequence(seed).generate_state(restarts):
         run = learn(problem, LearnerConfig(eps_rel=0.0, seed=run_seed, **cfg_fields))
         used += 1
         if best_run is None or run.best < best_run.best:
@@ -174,8 +170,16 @@ def update_clean(
     By default every database tuple is revisable and its current probability
     acts as a prior with weight ``1 - prior_weight``, which needs the mse
     objective; tuples pushed to the boundaries are reported as deletions
-    (<= zero_tol) or certain (>= 1 - one_tol).
+    (<= zero_tol) or certain (>= 1 - one_tol).  Raises ValueError unless
+    ``prior_weight``, ``zero_tol`` and ``one_tol`` lie in [0, 1].
     """
+    for name, value in (
+        ("prior_weight", prior_weight),
+        ("zero_tol", zero_tol),
+        ("one_tol", one_tol),
+    ):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
     cfg = cfg or LearnerConfig()
     chosen = frozenset(learnable) if learnable is not None else db.tuples
     prior = {t: db.probability(t) for t in sorted(chosen) if db.has_probability(t)}

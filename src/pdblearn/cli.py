@@ -1,13 +1,14 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 on usage or input errors, 2 when a learning run
-stops at its iteration cap without converging, 3 when constraints are
-unsatisfiable.
+Exit codes: 0 on success, 1 on usage, input or file errors, 2 when a
+learning run stops at its iteration cap without converging, 3 when
+constraints are unsatisfiable.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -33,9 +34,9 @@ from .io import (
 from .learning import (
     OBJECTIVES,
     OPTIMIZERS,
-    STATUS_MAX_ITERATIONS,
     LearnerConfig,
     LearningProblem,
+    LearnResult,
     learn,
 )
 from .lineage import format_formula, parse_formula, tuple_set
@@ -61,6 +62,36 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _sizes(text: str) -> tuple:
+    """``--sizes`` text as (labels, tuples, blocks) int triples."""
+    try:
+        sizes = tuple(tuple(map(int, chunk.split(":"))) for chunk in text.split(","))
+    except ValueError:
+        sizes = ()
+    if not sizes or any(len(size) != 3 for size in sizes):
+        raise argparse.ArgumentTypeError("wants labels:tuples:blocks triples")
+    return sizes
+
+
+def _names(text: str) -> tuple:
+    return tuple(text.split(","))
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(","))
+
+
+def _instance_parser(sub, name: str, help: str, out: str):
+    """A subcommand that reads an instance and writes a database and a trace."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--tuples", required=True)
+    p.add_argument("--rules")
+    p.add_argument("--labels", required=True)
+    p.add_argument("--out", help=f"write the {out} here")
+    p.add_argument("--trace", metavar="CSV", help="write the convergence trace here")
+    return p
+
+
 def _add_learn_flags(p: argparse.ArgumentParser) -> None:
     d = LearnerConfig()
     p.add_argument("--eps-abs", type=float, default=d.eps_abs, help="absolute stop tolerance")
@@ -70,7 +101,6 @@ def _add_learn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--optimizer", choices=OPTIMIZERS, default=d.optimizer)
     p.add_argument("--threads", type=int, default=d.threads)
     p.add_argument("--max-iterations", type=int, default=d.max_outer_iterations)
-    p.add_argument("--trace", metavar="CSV", help="write the convergence trace here")
 
 
 def _learner_config(args) -> LearnerConfig:
@@ -83,6 +113,16 @@ def _learner_config(args) -> LearnerConfig:
         threads=args.threads,
         max_outer_iterations=args.max_iterations,
     )
+
+
+def _finish(args, result: LearnResult, text: str, notes) -> int:
+    """Write the trace and ``text``, print ``notes`` to stderr, and pick the exit code."""
+    if args.trace:
+        write_trace(result.trace, args.trace)
+    _emit(text, args.out)
+    for note in notes:
+        print(note, file=sys.stderr)
+    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_ground(args) -> int:
@@ -101,37 +141,22 @@ def cmd_prob(args) -> int:
     if args.rules:
         program = load_rules(args.rules)
         formula = expand_derived(formula, index_derived(ground(program, db)))
-    unknown = tuple_set(formula) - db.tuples
-    if unknown:
-        print(
-            f"error: unknown tuple(s) {', '.join(str(t) for t in sorted(unknown))}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    db.check_tuples(tuple_set(formula), "the formula")
     print(prob_exact(formula, db.probabilities()))
     return EXIT_OK
 
 
 def cmd_learn(args) -> int:
     instance = load_instance(args.tuples, args.rules, args.labels)
-    problem = LearningProblem(instance.db, instance.labels)
-    result = learn(problem, _learner_config(args))
-    if args.trace:
-        write_trace(result.trace, args.trace)
-    _emit(probabilities_text(result.probabilities), args.out)
-    print(
-        f"status={result.status} best={result.best:.6g} iterations={result.iterations}",
-        file=sys.stderr,
-    )
-    return EXIT_NO_CONVERGENCE if result.status == STATUS_MAX_ITERATIONS else EXIT_OK
+    result = learn(LearningProblem(instance.db, instance.labels), _learner_config(args))
+    note = f"status={result.status} best={result.best:.6g} iterations={result.iterations}"
+    return _finish(args, result, probabilities_text(result.probabilities), [note])
 
 
 def cmd_condition(args) -> int:
     instance = load_instance(args.tuples, args.rules, args.labels)
-    bad = [lab for lab in instance.labels if lab.target != 1.0]
-    if bad:
-        print("error: constraint labels must all have target 1", file=sys.stderr)
-        return EXIT_USAGE
+    if any(lab.target != 1.0 for lab in instance.labels):
+        raise ValueError("constraint labels must all have target 1")
     res = condition(
         instance.db,
         [lab.formula for lab in instance.labels],
@@ -141,15 +166,8 @@ def cmd_condition(args) -> int:
         max_outer_iterations=args.max_iterations,
         threads=args.threads,
     )
-    if args.trace:
-        write_trace(res.result.trace, args.trace)
-    _emit(tuples_text(res.db), args.out)
-    print(
-        f"constraint_probability={res.constraint_probability:.9f} "
-        f"restarts={res.restarts_used}",
-        file=sys.stderr,
-    )
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    note = f"constraint_probability={res.constraint_probability:.9f} restarts={res.restarts_used}"
+    return _finish(args, res.result, tuples_text(res.db), [note])
 
 
 def cmd_clean(args) -> int:
@@ -162,34 +180,16 @@ def cmd_clean(args) -> int:
         one_tol=args.one_tol,
         cfg=_learner_config(args),
     )
-    if args.trace:
-        write_trace(res.result.trace, args.trace)
-    _emit(tuples_text(res.db), args.out)
-    for t in res.deletions:
-        print(f"delete\t{t}", file=sys.stderr)
-    for t in res.certain:
-        print(f"certain\t{t}", file=sys.stderr)
-    return (
-        EXIT_NO_CONVERGENCE
-        if res.result.status == STATUS_MAX_ITERATIONS
-        else EXIT_OK
-    )
+    notes = [f"delete\t{t}" for t in res.deletions] + [f"certain\t{t}" for t in res.certain]
+    return _finish(args, res.result, tuples_text(res.db), notes)
 
 
 def cmd_bench(args) -> int:
-    sizes = []
-    for chunk in args.sizes.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            print("error: --sizes wants labels:tuples:blocks triples", file=sys.stderr)
-            return EXIT_USAGE
-        sizes.append(tuple(int(x) for x in parts))
-    threads = tuple(int(x) for x in args.threads_list.split(","))
     cells = run_bench(
-        sizes=sizes,
-        objectives=tuple(args.objectives.split(",")),
-        optimizers=tuple(args.optimizers.split(",")),
-        threads=threads,
+        sizes=args.sizes,
+        objectives=args.objectives,
+        optimizers=args.optimizers,
+        threads=args.threads_list,
         seed=args.seed,
         max_outer_iterations=args.max_iterations,
     )
@@ -237,61 +237,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", help="resolve derived tuple names in the formula")
     p.set_defaults(func=cmd_prob)
 
-    p = sub.add_parser("learn", help="estimate learnable tuple probabilities")
-    p.add_argument("--tuples", required=True)
-    p.add_argument("--rules")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", help="write the learned probabilities here")
+    p = _instance_parser(
+        sub, "learn", "estimate learnable tuple probabilities", "learned probabilities"
+    )
     _add_learn_flags(p)
     p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("condition", help="enforce constraint formulas on a database")
-    p.add_argument("--tuples", required=True)
-    p.add_argument("--rules")
-    p.add_argument("--labels", required=True, help="constraint rows, target 1")
-    p.add_argument("--out", help="write the conditioned tuples here")
-    p.add_argument("--eps-abs", type=float, default=1e-5)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--max-iterations", type=int, default=10000)
-    p.add_argument("--trace", metavar="CSV")
+    d = inspect.signature(condition).parameters
+    p = _instance_parser(
+        sub,
+        "condition",
+        "enforce constraint labels (target 1) on a database",
+        "conditioned tuples",
+    )
+    p.add_argument("--eps-abs", type=float, default=d["eps_abs"].default)
+    p.add_argument("--restarts", type=int, default=d["restarts"].default)
+    p.add_argument("--seed", type=int, default=d["seed"].default)
+    p.add_argument("--threads", type=int, default=d["threads"].default)
+    p.add_argument("--max-iterations", type=int, default=d["max_outer_iterations"].default)
     p.set_defaults(func=cmd_condition)
 
-    p = sub.add_parser("clean", help="revise probabilities against evidence labels")
-    p.add_argument("--tuples", required=True)
-    p.add_argument("--rules")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", help="write the updated tuples here")
-    p.add_argument("--prior-weight", type=float, default=0.5)
-    p.add_argument("--zero-tol", type=float, default=1e-3)
-    p.add_argument("--one-tol", type=float, default=1e-3)
+    d = inspect.signature(update_clean).parameters
+    p = _instance_parser(
+        sub, "clean", "revise probabilities against evidence labels", "updated tuples"
+    )
+    p.add_argument("--prior-weight", type=float, default=d["prior_weight"].default)
+    p.add_argument("--zero-tol", type=float, default=d["zero_tol"].default)
+    p.add_argument("--one-tol", type=float, default=d["one_tol"].default)
     _add_learn_flags(p)
     p.set_defaults(func=cmd_clean)
 
+    d = inspect.signature(run_bench).parameters
     p = sub.add_parser("bench", help="time the learner over generated instances")
-    p.add_argument("--sizes", default="50:60:2,200:120:4", help="labels:tuples:blocks,...")
-    p.add_argument("--objectives", default="mse")
-    p.add_argument("--optimizers", default=",".join(OPTIMIZERS))
-    p.add_argument("--threads-list", default="1")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iterations", type=int, default=500)
+    p.add_argument(
+        "--sizes", type=_sizes, default=d["sizes"].default, help="labels:tuples:blocks,..."
+    )
+    p.add_argument("--objectives", type=_names, default=d["objectives"].default)
+    p.add_argument("--optimizers", type=_names, default=d["optimizers"].default)
+    p.add_argument("--threads-list", type=_ints, default=d["threads"].default)
+    p.add_argument("--seed", type=int, default=d["seed"].default)
+    p.add_argument("--max-iterations", type=int, default=d["max_outer_iterations"].default)
     p.add_argument("--out", help="also write the cells as CSV")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="generate synthetic instances")
     gen_sub = p.add_subparsers(dest="kind", required=True)
+    d = inspect.signature(gen_synthetic_srl).parameters
     g = gen_sub.add_parser("srl", help="random two-clause labels over one relation")
     g.add_argument("--n-labels", type=int, required=True)
-    g.add_argument("--n-tuples", type=int, default=100)
-    g.add_argument("--blocks", type=int, default=1)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--n-tuples", type=int, default=d["n_tuples"].default)
+    g.add_argument("--blocks", type=int, default=d["blocks"].default)
+    g.add_argument("--seed", type=int, default=d["seed"].default)
     g.add_argument("--out-dir", required=True)
     g.set_defaults(func=cmd_gen, kind="srl")
+    d = inspect.signature(random_3sat).parameters
     g = gen_sub.add_parser("3sat", help="satisfiable random CNF as an instance")
     g.add_argument("--n-vars", type=int, default=8)
     g.add_argument("--n-clauses", type=int, default=15)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=d["seed"].default)
     g.add_argument("--out-dir", required=True)
     g.set_defaults(func=cmd_gen, kind="3sat")
 
@@ -306,7 +309,7 @@ def main(argv=None) -> int:
     except InconsistentConstraintsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (PdbError, FileNotFoundError, ValueError) as exc:
+    except (PdbError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

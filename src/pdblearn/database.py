@@ -10,10 +10,17 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import ArityError, MissingProbabilityError
+from .errors import ArityError, DanglingReferenceError, MissingProbabilityError
 from .lineage import TupleId
 
 __all__ = ["ProbabilisticDatabase"]
+
+
+def _unit(tuple_id: TupleId, prob: float) -> float:
+    """``prob`` as a float; ValueError unless it lies in [0, 1] (so also for nan)."""
+    if not 0.0 <= prob <= 1.0:
+        raise ValueError(f"probability of {tuple_id} must lie in [0, 1], got {prob}")
+    return float(prob)
 
 
 class ProbabilisticDatabase:
@@ -40,14 +47,14 @@ class ProbabilisticDatabase:
             learnable = prob is None
         if prob is None and not learnable:
             raise MissingProbabilityError(tuple_id)
-        if prob is not None and not 0.0 <= prob <= 1.0:
-            raise ValueError(f"probability of {tuple_id} must lie in [0, 1], got {prob}")
+        if prob is not None:
+            prob = _unit(tuple_id, prob)
         self._arity.setdefault(tuple_id.relation, len(tuple_id.key))
         self._tuples.add(tuple_id)
         if prob is None:
             self._prob.pop(tuple_id, None)
         else:
-            self._prob[tuple_id] = float(prob)
+            self._prob[tuple_id] = prob
         if learnable:
             self._learnable.add(tuple_id)
         else:
@@ -66,6 +73,15 @@ class ProbabilisticDatabase:
     @property
     def tuples(self) -> frozenset:
         return frozenset(self._tuples)
+
+    def check_tuples(self, tuple_ids, source: str) -> None:
+        """Raise DanglingReferenceError, naming ``source``, unless every tuple is here."""
+        unknown = frozenset(tuple_ids) - self._tuples
+        if unknown:
+            raise DanglingReferenceError(
+                f"{source} references tuple(s) not in the database: "
+                + ", ".join(map(str, sorted(unknown)[:3]))
+            )
 
     @property
     def learnable(self) -> frozenset:
@@ -107,7 +123,5 @@ class ProbabilisticDatabase:
         for tuple_id, prob in updates.items():
             if tuple_id not in clone._tuples:
                 raise KeyError(tuple_id)
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"probability of {tuple_id} must lie in [0, 1], got {prob}")
-            clone._prob[tuple_id] = float(prob)
+            clone._prob[tuple_id] = _unit(tuple_id, prob)
         return clone

@@ -58,21 +58,20 @@ __all__ = [
 
 def _data_lines(path):
     text = Path(path).read_text(encoding="utf-8")
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("%"):
             continue
         yield n, line
 
 
-def _probability(text: str, n: int) -> float:
-    """The probability column of line n; ParseError unless a number in [0, 1]."""
+def _probability(text: str, n: int, column: str = "probability") -> float:
+    """The ``column`` field of line n; ParseError unless a number in [0, 1]."""
     try:
         prob = float(text)
     except ValueError:
-        raise ParseError(f"bad probability {text!r}", line=n) from None
+        raise ParseError(f"bad {column} {text!r}", line=n) from None
     if not 0.0 <= prob <= 1.0:  # also refuses nan
-        raise ParseError(f"probability {prob} outside [0, 1]", line=n)
+        raise ParseError(f"{column} {prob} outside [0, 1]", line=n)
     return prob
 
 
@@ -162,19 +161,13 @@ def save_rules(program, path) -> None:
 
 def load_labels(path, db: ProbabilisticDatabase, derived: Mapping | None = None) -> tuple:
     """Read labels, resolving Q rows in ``derived`` (from ``index_derived``)."""
-    known = db.tuples  # builds a new frozenset on every access
     labels = []
     for n, line in _data_lines(path):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError("expected kind, reference, target", line=n)
         kind, ref, raw_target = fields
-        try:
-            target = float(raw_target)
-        except ValueError:
-            raise ParseError(f"bad target {raw_target!r}", line=n) from None
-        if not 0.0 <= target <= 1.0:
-            raise ParseError(f"label target must lie in [0, 1], got {target}", line=n)
+        target = _probability(raw_target, n, "target")
         if kind not in ("Q", "F"):
             raise ParseError(f"unknown label kind {kind!r}, expected Q or F", line=n)
         if kind == "Q" and derived is None:
@@ -194,12 +187,7 @@ def load_labels(path, db: ProbabilisticDatabase, derived: Mapping | None = None)
                 )
             labels.append(Label(hit.lineage, target))
         else:
-            unknown = tuple_set(parsed) - known
-            if unknown:
-                raise DanglingReferenceError(
-                    f"label line {n} references tuple(s) not in the database: "
-                    f"{sorted(unknown)[:3]}"
-                )
+            db.check_tuples(tuple_set(parsed), f"label line {n}")
             labels.append(Label(parsed, target))
     return tuple(labels)
 

@@ -72,11 +72,7 @@ import multiprocessing
 
 from ._rng import Generator, SeedSequence
 from .database import ProbabilisticDatabase
-from .errors import (
-    DanglingReferenceError,
-    IntractableFormulaError,
-    NonBooleanLabelError,
-)
+from .errors import IntractableFormulaError, NonBooleanLabelError
 from .inference import _compile_shared, _run, derivative, prob_exact
 from .lineage import (
     And,
@@ -664,21 +660,6 @@ class _Workers:
 # --- the learner -----------------------------------------------------------------
 
 
-def _validate_problem(labels, learnable, known: frozenset):
-    missing = learnable - known
-    if missing:
-        raise DanglingReferenceError(
-            f"learnable tuple(s) not in the database: {sorted(missing)[:3]}"
-        )
-    for i, lab in enumerate(labels):
-        unknown = tuple_set(lab.formula) - known
-        if unknown:
-            raise DanglingReferenceError(
-                f"label {i} references tuple(s) not in the database: "
-                f"{sorted(unknown)[:3]}"
-            )
-
-
 def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnResult:
     """Estimate probabilities for the problem's learnable tuples."""
     cfg = cfg or LearnerConfig()
@@ -688,7 +669,9 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
     learnable = frozenset(
         problem.learnable if problem.learnable is not None else problem.db.learnable
     )
-    _validate_problem(labels, learnable, problem.db.tuples)
+    problem.db.check_tuples(learnable, "the learnable set")
+    for i, lab in enumerate(labels):
+        problem.db.check_tuples(tuple_set(lab.formula), f"label {i}")
 
     logical = cfg.objective == "logical"
     if logical:

@@ -211,6 +211,17 @@ class TestUpdateClean:
         assert [row[:2] for row in res.result.trace] == [row[:2] for row in plain.trace]
         assert res.result.probabilities == plain.probabilities
 
+    @pytest.mark.parametrize("name", ["prior_weight", "zero_tol", "one_tol"])
+    @pytest.mark.parametrize("value", [-4.0, 1.5, float("nan")])
+    def test_weights_and_tolerances_outside_the_unit_interval_are_refused(
+        self, name, value
+    ):
+        # every tuple is learnable, so there is no prior that would check prior_weight
+        db = ProbabilisticDatabase()
+        db.add(tid(1))
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            update_clean(db, [Label(v(1), 1.0)], **{name: value})
+
     def test_priors_require_mse(self, tmp_path, capsys):
         db, u = self.one_tuple_db()
         with pytest.raises(ValueError, match="priors require the mse objective"):

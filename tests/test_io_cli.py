@@ -1,6 +1,7 @@
 """Instance files, the benchmark harness, and the command line."""
 
 import csv
+import inspect
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from pdblearn import (
     ProbabilisticDatabase,
     TupleId,
     Var,
+    condition,
     expand_derived,
     gen_synthetic_srl,
     ground,
@@ -37,6 +39,7 @@ from pdblearn import (
     parse_program,
     parse_rule,
     prob_exact,
+    random_3sat,
     run_bench,
     save_bench,
     save_label_refs,
@@ -44,6 +47,7 @@ from pdblearn import (
     save_probabilities,
     save_rules,
     save_tuples,
+    update_clean,
     write_trace,
 )
 from pdblearn.cli import _learner_config, build_parser
@@ -585,11 +589,39 @@ def story_files(tmp_path):
 
 class TestCli:
     def test_learn_flags_default_to_the_learner_config(self):
-        for command in ("learn", "clean"):
-            args = build_parser().parse_args(
-                [command, "--tuples", "t.tsv", "--labels", "l.tsv"]
-            )
-            assert _learner_config(args) == LearnerConfig()
+        # every flag of every subcommand that takes a default: the learner
+        # flags from LearnerConfig, the rest from the library function it calls
+        parse = build_parser().parse_args
+        files = ["--tuples", "t.tsv", "--labels", "l.tsv"]
+        learner = {
+            "objective", "optimizer", "eps_abs", "eps_rel", "seed", "threads",
+            "max_iterations",
+        }
+        # file names, flags without a default, and the two without a library default
+        own = {
+            "command", "func", "kind", "tuples", "rules", "labels", "out", "trace",
+            "out_dir", "n_labels", "n_vars", "n_clauses",
+        }
+        renamed = {"max_iterations": "max_outer_iterations", "threads_list": "threads"}
+        for argv, func in (
+            (["learn", *files], None),
+            (["clean", *files], update_clean),
+            (["condition", *files], condition),
+            (["bench"], run_bench),
+            (["gen", "srl", "--n-labels", "5", "--out-dir", "o"], gen_synthetic_srl),
+            (["gen", "3sat", "--out-dir", "o"], random_3sat),
+        ):
+            args = parse(argv)
+            covered = set(own)
+            if argv[0] in ("learn", "clean"):
+                assert _learner_config(args) == LearnerConfig()
+                covered |= learner
+            params = inspect.signature(func).parameters if func else {}
+            for dest, value in vars(args).items():
+                if dest not in covered:
+                    name = renamed.get(dest, dest)
+                    assert name in params, (argv, dest)
+                    assert value == params[name].default, (argv, dest)
 
     def test_usage_errors_exit_one(self, tmp_path):
         # the CLI's own messages, so a child that never reached the CLI
@@ -601,6 +633,15 @@ class TestCli:
         out = run_cli(["prob", "t(1", "--tuples", "missing.tsv"], tmp_path)
         assert out.returncode == 1
         assert "error:" in out.stderr and "missing.tsv" in out.stderr
+        # a directory where a file is read or written: one line, no traceback
+        (tmp_path / "labels.tsv").write_text("F\tt(1)\t0.5\n", encoding="utf-8")
+        (tmp_path / "tuples.tsv").write_text("t\t1\t?\n", encoding="utf-8")
+        for tuples, out_path in (("tuples.tsv", "."), (".", "learned.tsv")):
+            argv = ["learn", "--tuples", tuples, "--labels", "labels.tsv"]
+            out = run_cli([*argv, "--out", out_path], tmp_path)
+            assert out.returncode == 1
+            assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+            assert "Is a directory" in out.stderr
 
     def test_ground_prints_derived_tuples(self, story_files):
         out = run_cli(
@@ -638,8 +679,11 @@ class TestCli:
         )
         assert out.returncode == 0
         assert float(out.stdout.strip()) == pytest.approx(0.3408, abs=1e-12)
-        bad = run_cli(["prob", "ghost(1)", "--tuples", "tuples.tsv"], tmp_path)
+        bad = run_cli(["prob", "ghost(1) | t(2)", "--tuples", "tuples.tsv"], tmp_path)
         assert bad.returncode == 1
+        assert bad.stderr == (
+            "error: the formula references tuple(s) not in the database: ghost(1), t(2)\n"
+        )
 
     def test_learn_writes_probabilities_and_trace(self, tmp_path):
         (tmp_path / "tuples.tsv").write_text("t\t7\t?\nt\t8\t?\n", encoding="utf-8")
