@@ -1,4 +1,4 @@
-"""numpy's seeding and the two PCG64 draws the learner makes, in plain Python.
+"""numpy's seeding and the three PCG64 draws this package makes, in plain Python.
 
 ``SeedSequence`` follows ``numpy.random.SeedSequence`` (O'Neill's seed_seq
 hash over a pool of four 32-bit words, with spawn keys), and ``Generator``
@@ -7,9 +7,13 @@ the XSL-RR output, whose 32-bit draws take the two halves of one 64-bit
 output, low half first.  ``random`` is ``Generator.random``, the top 53 bits
 of a 64-bit draw, and ``permutation`` is ``Generator.permutation`` of an int:
 a Fisher-Yates shuffle from the last index down, each swap partner drawn by
-masked rejection from 32-bit draws.  Both return exactly what numpy returns
-for the same seed, as ``tests/test_rng.py`` checks; they were checked against
-numpy 2.4.6.  This module exists so that ``learn`` need not import numpy.
+masked rejection from 32-bit draws.  ``choice`` is ``Generator.choice`` of an
+int without replacement: Floyd's algorithm, then a shuffle of the picks, each
+draw bounded by Lemire's multiply-and-reject over the same 32-bit draws.  All
+three return exactly what numpy returns for the same seed, as
+``tests/test_rng.py`` checks; they were checked against numpy 2.4.6.  The
+learner draws its seeds and tuple orders here and the generators their
+instances, so the package runs without numpy.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ class SeedSequence:
 
 
 class Generator:
-    """``numpy.random.default_rng(seed_seq)``, for ``random`` and ``permutation``."""
+    """``numpy.random.default_rng(seed_seq)``, for ``random``, ``permutation`` and ``choice``."""
 
     def __init__(self, seed_seq: SeedSequence):
         w = seed_seq.generate_state(8)
@@ -161,3 +165,48 @@ class Generator:
             out[i], out[j] = out[j], out[i]
         self._state, self._high32 = state, high
         return out
+
+    def choice(self, n: int, k: int) -> list:
+        """``k`` distinct ints from ``range(n)`` as numpy's ``choice(n, k, replace=False)``.
+
+        numpy switches to a partial shuffle of ``range(n)`` when n > 10000
+        and k > n // 50, and to 64-bit draws when n > 2**32; neither case is
+        copied, so both raise ``ValueError``, as does a k outside [0, n].
+        """
+        if not 0 <= k <= n:
+            raise ValueError(f"cannot choose {k} of {n} without replacement")
+        if n > 10000 and k > n // 50 or n > 1 << 32:
+            raise ValueError(f"choosing {k} of {n} takes a draw this copy lacks")
+        # Floyd: draw in [0, j] for the last k values of j (numpy draws
+        # nothing for [0, 0]), and take j itself when the draw was taken before
+        picks, taken = [], set()
+        for j in range(n - k, n):
+            v = self._bounded(j) if j else 0
+            if v in taken:
+                v = j
+            taken.add(v)
+            picks.append(v)
+        for i in range(k - 1, 0, -1):
+            j = self._bounded(i)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
+    def _bounded(self, top: int) -> int:
+        """An int uniform in [0, top], by Lemire's rejection, as numpy's 32-bit draw."""
+        span = top + 1
+        threshold = (1 << 32) % span
+        m = self._next32() * span
+        while m & _MASK32 < threshold:
+            m = self._next32() * span
+        return m >> 32
+
+    def _next32(self) -> int:
+        """The buffered high half of the last 64-bit draw, or the low half of a new one."""
+        high = self._high32
+        if high is not None:
+            self._high32 = None
+            return high & _MASK32
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        word = ((state >> 64 ^ state) & _MASK64) * _TWICE >> (state >> 122)
+        self._high32 = word >> 32
+        return word & _MASK32

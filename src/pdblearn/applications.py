@@ -102,6 +102,8 @@ def condition(
     whenever the run converged.  Raises InconsistentConstraintsError when the
     conjunction is unsatisfiable, since no probabilities can then help.
     """
+    if not eps_abs >= 0:
+        raise ValueError("eps_abs must be >= 0")
     constraints = list(constraints)
     if not constraints:
         return ConditionResult(db.copy(), {}, 1.0, 0.0, True, 0, _empty_result())

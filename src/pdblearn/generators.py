@@ -1,11 +1,17 @@
-"""Synthetic instance generators for experiments and benchmarks."""
+"""Synthetic instance generators for experiments and benchmarks.
+
+Both draw from ``_rng.Generator(_rng.SeedSequence(seed))``, which draws what
+``numpy.random.default_rng(seed)`` draws.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._rng import Generator, SeedSequence
 from .database import ProbabilisticDatabase
 from .errors import InconsistentConstraintsError
+from .inference import prob_bruteforce
 from .learning import Label
 from .lineage import And, Not, Or, TupleId, Var
 
@@ -41,9 +47,7 @@ def gen_synthetic_srl(
         raise ValueError("need at least 6 tuples per block")
     if n_tuples % blocks != 0:
         raise ValueError("blocks must divide n_tuples evenly")
-    import numpy as np  # here, so that importing pdblearn does not load numpy
-
-    rng = np.random.default_rng(seed)
+    rng = Generator(SeedSequence(seed))
     db = ProbabilisticDatabase()
     ids = [TupleId("t", (i,)) for i in range(n_tuples)]
     for t in ids:
@@ -55,8 +59,8 @@ def gen_synthetic_srl(
     refs: list = []
     for j in range(n_labels):
         lo = (j % blocks) * size
-        picks = [int(x) + lo for x in rng.choice(size, 6, replace=False)]
-        flips = rng.random(4) < 0.5
+        picks = [x + lo for x in rng.choice(size, 6)]
+        flips = [rng.random() < 0.5 for _ in range(4)]
         disjuncts = []
         rule_bodies = []
         for c in range(2):
@@ -92,40 +96,30 @@ def random_3sat(
     """Random 3-CNF guaranteed satisfiable, as signed 1-based literal triples.
 
     Draws clause sets uniformly (three distinct variables, fair signs) and
-    rejects unsatisfiable ones, checking by exhaustive enumeration; n_vars is
-    therefore capped at 20.
+    rejects unsatisfiable ones, those of probability 0 under
+    ``prob_bruteforce`` with every variable at one half; n_vars is therefore
+    capped at 20, the oracle's cutoff.
     """
     if not 3 <= n_vars <= 20:
         raise ValueError("n_vars must lie in [3, 20]")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    # all assignments as a 2^n x n Boolean table, variable i in column i-1
-    count = 1 << n_vars
-    table = (
-        np.arange(count, dtype=np.uint32)[:, None] >> np.arange(n_vars, dtype=np.uint32)
-    ) & 1
-    table = table.astype(bool)
+    if n_clauses < 0:
+        raise ValueError("n_clauses must be >= 0")
+    if max_tries < 1:
+        raise ValueError("max_tries must be >= 1")
+    rng = Generator(SeedSequence(seed))
+    half = {TupleId.synthetic(i): 0.5 for i in range(1, n_vars + 1)}
+    events = {}  # literal -> its event: variable i is tuple #i
+    for i in range(1, n_vars + 1):
+        events[i] = Var(TupleId.synthetic(i))
+        events[-i] = Not(events[i])
     for _ in range(max_tries):
-        clauses = []
+        clauses, cnf = [], []
         for _k in range(n_clauses):
-            chosen = rng.choice(n_vars, 3, replace=False)
-            signs = rng.random(3) < 0.5
-            clauses.append(
-                tuple(
-                    int(v) + 1 if s else -(int(v) + 1) for v, s in zip(chosen, signs)
-                )
-            )
-        alive = np.ones(count, dtype=bool)
-        for clause in clauses:
-            sat = np.zeros(count, dtype=bool)
-            for lit in clause:
-                col = table[:, abs(lit) - 1]
-                sat |= col if lit > 0 else ~col
-            alive &= sat
-            if not alive.any():
-                break
-        if alive.any():
+            chosen = rng.choice(n_vars, 3)
+            clause = tuple(v + 1 if rng.random() < 0.5 else -(v + 1) for v in chosen)
+            clauses.append(clause)
+            cnf.append(Or(*(events[lit] for lit in clause)))
+        if prob_bruteforce(And(*cnf), half) > 0:
             return tuple(clauses)
     raise InconsistentConstraintsError(
         f"no satisfiable formula found in {max_tries} draws"

@@ -2,7 +2,8 @@
 
 Under tuple independence the marginal of a formula is the total weight of the
 possible worlds that satisfy it.  ``prob_bruteforce`` computes that sum by
-enumerating worlds (the oracle).  ``prob_exact`` instead applies, recursively:
+enumerating worlds (the oracle), all at once as the bits of Python ints.
+``prob_exact`` instead applies, recursively:
 
 * ``P(t) = p(t)`` and ``P(!phi) = 1 - P(phi)``;
 * independent-and: ``P(phi_1 & ... & phi_n) = prod P(phi_i)`` when the
@@ -62,6 +63,7 @@ from .lineage import (
     Or,
     TupleId,
     Var,
+    _worlds,
     connected_components,
     substitute,
     tuple_set,
@@ -82,21 +84,6 @@ MAX_NODES = 4096
 # --- possible-worlds enumeration ---------------------------------------------
 
 
-def _eval_vectorized(phi: LineageFormula, bits: dict) -> np.ndarray:
-    import numpy as np
-
-    if isinstance(phi, Var):
-        return bits[phi.tuple_id]
-    if isinstance(phi, Constant):
-        some = next(iter(bits.values()))
-        return np.full(some.shape, phi.value, dtype=bool)
-    if isinstance(phi, Not):
-        return ~_eval_vectorized(phi.child, bits)
-    if isinstance(phi, And):
-        return np.logical_and.reduce([_eval_vectorized(c, bits) for c in phi.children])
-    return np.logical_or.reduce([_eval_vectorized(c, bits) for c in phi.children])
-
-
 def prob_bruteforce(
     phi: LineageFormula,
     p: Mapping[TupleId, float],
@@ -105,7 +92,10 @@ def prob_bruteforce(
     """Marginal probability by exhaustive world enumeration.
 
     Refuses formulas with more than ``cutoff`` tuples.  Serves as the oracle
-    that ``prob_exact`` is verified against.
+    that ``prob_exact`` is verified against, and shares none of its rules.
+    World w of the 2**n worlds over the n sorted tuples holds tuple i when
+    bit i of w is set; ``lineage._worlds`` finds the satisfying worlds as the
+    bits of one int, and ``_world_weight`` sums their weights.
     """
     ordered = sorted(tuple_set(phi))
     n = len(ordered)
@@ -113,21 +103,38 @@ def prob_bruteforce(
         raise FormulaTooLargeError(
             f"formula has {n} tuples, brute-force cutoff is {cutoff}"
         )
-    if n == 0:
-        return 1.0 if isinstance(phi, Constant) and phi.value else 0.0
     try:
         probs = [float(p[t]) for t in ordered]
     except KeyError as exc:
         raise MissingProbabilityError(exc.args[0]) from None
-    import numpy as np  # here, so that importing pdblearn does not load numpy
-
-    indices = np.arange(1 << n, dtype=np.int64)
-    bits = {t: (indices >> i & 1).astype(bool) for i, t in enumerate(ordered)}
-    weights = np.ones(1 << n, dtype=np.float64)
+    size = 1 << n
+    masks = {}
     for i, t in enumerate(ordered):
-        weights *= np.where(bits[t], probs[i], 1.0 - probs[i])
-    satisfied = _eval_vectorized(phi, bits)
-    return float(weights[satisfied].sum())
+        # one period: 2**i worlds without tuple i, then 2**i with it
+        half = 1 << i
+        mask, width = ((1 << half) - 1) << half, 2 * half
+        while width < size:
+            mask |= mask << width
+            width *= 2
+        masks[t] = mask
+    fulls = [(1 << (1 << m)) - 1 for m in range(n + 1)]
+    return _world_weight(_worlds(phi, masks, fulls[n]), probs, fulls, n)
+
+
+def _world_weight(bits: int, probs: list, fulls: list, n: int) -> float:
+    """Total weight of the worlds set in ``bits``, worlds over the first n tuples.
+
+    Splits on tuple n - 1: the low half of the bits are the worlds without
+    it, the high half those with it.
+    """
+    if not bits:
+        return 0.0
+    if bits == fulls[n]:
+        return 1.0
+    n -= 1
+    p = probs[n]
+    low = _world_weight(bits & fulls[n], probs, fulls, n)
+    return (1.0 - p) * low + p * _world_weight(bits >> (1 << n), probs, fulls, n)
 
 
 # --- decomposition -------------------------------------------------------------

@@ -325,23 +325,43 @@ def tuple_set(phi: LineageFormula) -> frozenset:
 
 
 def evaluate(phi: LineageFormula, world: Iterable[TupleId]) -> bool:
-    """Truth value of ``phi`` in the possible world ``world`` (a set of present tuples)."""
+    """Truth value of ``phi`` in the possible world ``world`` (a set of present tuples).
+
+    It runs the bitwise evaluator of ``prob_bruteforce`` over this one world,
+    where a tuple's bit is 1 when it is present.
+    """
     if not isinstance(world, (set, frozenset)):
         world = frozenset(world)
-    return _eval(phi, world)
+    return _worlds(phi, {t: int(t in world) for t in phi._tuples}, 1) == 1
 
 
-def _eval(phi, world) -> bool:
+def _worlds(phi: LineageFormula, masks: dict, full: int) -> int:
+    """The worlds that satisfy ``phi``, as the bits of an int.
+
+    Bit w of ``masks[t]`` is set when world w holds tuple t, and ``full`` has
+    the bit of every world set, so ``&`` and ``|`` are conjunction and
+    disjunction over all worlds at once and xor with ``full`` is negation.
+    """
     if isinstance(phi, Var):
-        return phi.tuple_id in world
+        return masks[phi.tuple_id]
     if isinstance(phi, Constant):
-        return phi.value
+        return full if phi.value else 0
     if isinstance(phi, Not):
-        return not _eval(phi.child, world)
+        return _worlds(phi.child, masks, full) ^ full
     if isinstance(phi, And):
-        return all(_eval(c, world) for c in phi.children)
+        out = full
+        for c in phi.children:
+            out &= _worlds(c, masks, full)
+            if not out:
+                break
+        return out
     if isinstance(phi, Or):
-        return any(_eval(c, world) for c in phi.children)
+        out = 0
+        for c in phi.children:
+            out |= _worlds(c, masks, full)
+            if out == full:
+                break
+        return out
     raise TypeError(f"not a lineage formula: {phi!r}")
 
 

@@ -34,11 +34,13 @@ from pdblearn import (
     random_3sat,
     recover_missing,
     satisfies,
+    save_labels,
+    save_tuples,
     solve_3sat,
     tuple_set,
     update_clean,
 )
-from pdblearn import cli
+from pdblearn import applications, cli
 
 from conftest import build_formula, random_recipe, story_db, tid
 
@@ -96,6 +98,25 @@ class TestCondition:
         argv += ["--labels", str(tmp_path / "labels.tsv"), "--restarts", "0"]
         assert cli.main(argv) == 1
         assert "restarts must be >= 1" in capsys.readouterr().err
+
+    def test_negative_eps_abs_is_refused_before_learning(self, tmp_path, capsys, monkeypatch):
+        db = ProbabilisticDatabase()
+        db.add(tid(1), 0.5)
+        monkeypatch.setattr(applications, "learn", None)  # any learn call fails
+        for eps in (-1.0, -1e-9, float("nan")):
+            for constraints in ([v(1)], []):
+                with pytest.raises(ValueError, match="eps_abs must be >= 0"):
+                    condition(db, constraints, eps_abs=eps)
+        monkeypatch.undo()
+        clauses = random_3sat(5, 8)
+        db, labels = encode_3sat(clauses, 5)
+        save_tuples(db, tmp_path / "tuples.tsv")
+        save_labels(labels, tmp_path / "labels.tsv")
+        argv = ["condition", "--tuples", str(tmp_path / "tuples.tsv")]
+        argv += ["--labels", str(tmp_path / "labels.tsv"), "--out", str(tmp_path / "out.tsv")]
+        assert cli.main(argv + ["--eps-abs", "-1"]) == 1
+        assert capsys.readouterr().err == "error: eps_abs must be >= 0\n"
+        assert not (tmp_path / "out.tsv").exists()
 
     def test_contradictory_constraints_rejected(self):
         db = ProbabilisticDatabase()
@@ -484,6 +505,18 @@ class TestRandom3Sat:
             random_3sat(2, 5)
         with pytest.raises(ValueError):
             random_3sat(21, 5)
+
+    def test_negative_sizes_and_budgets_are_refused(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="n_clauses must be >= 0"):
+            random_3sat(5, -5)
+        for tries in (0, -1):
+            with pytest.raises(ValueError, match="max_tries must be >= 1"):
+                random_3sat(5, 8, max_tries=tries)
+        assert random_3sat(5, 0) == ()
+        argv = ["gen", "3sat", "--n-vars", "5", "--n-clauses", "-5"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: n_clauses must be >= 0\n"
+        assert not (tmp_path / "clauses.txt").exists()
 
     def test_rejection_budget_exhausted(self):
         # 300 random clauses over three variables are unsatisfiable in

@@ -1,6 +1,7 @@
 """Exact marginal computation, derivatives, and compiled closures."""
 
 import inspect
+import itertools
 import sys
 
 import numpy as np
@@ -21,6 +22,7 @@ from pdblearn import (
     compile_probability,
     derivative,
     encode_3sat,
+    evaluate,
     logical_conjunction,
     prob_bruteforce,
     prob_exact,
@@ -248,6 +250,25 @@ def test_exact_matches_enumeration(recipe, seed):
     rng = np.random.default_rng(seed)
     p = random_pmap(phi, rng)
     assert prob_exact(phi, p) == pytest.approx(prob_bruteforce(phi, p), abs=1e-9)
+
+
+@pytest.mark.property
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(recipes(max_vars=8, max_leaves=14), st.integers(0, 2**31 - 1))
+def test_oracle_sums_the_worlds_evaluate_accepts(recipe, seed):
+    # the oracle's world masks and split sum against one world at a time
+    phi = build_formula(recipe)
+    p = random_pmap(phi, np.random.default_rng(seed))
+    ids = sorted(p)
+    total = 0.0
+    for present in itertools.product((False, True), repeat=len(ids)):
+        weight = 1.0
+        for t, here in zip(ids, present):
+            weight *= p[t] if here else 1.0 - p[t]
+        world = {t for t, here in zip(ids, present) if here}
+        total += weight * evaluate(phi, world)
+    # up to 256 terms summed in another order: about 1e-15 apart at worst
+    assert prob_bruteforce(phi, p) == pytest.approx(total, abs=1e-14)
 
 
 @pytest.mark.property

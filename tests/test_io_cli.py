@@ -861,17 +861,25 @@ class TestCli:
         assert blocked.stdout.count("\n") == 5  # one row per learnable tuple
         assert (blocked.stdout, blocked.stderr) == (plain.stdout, plain.stderr)
 
-    def test_gen_srl_imports_numpy_when_it_runs(self, tmp_path):
-        code = (
-            "import sys; from pdblearn.cli import main; "
-            "before = 'numpy' in sys.modules; "
-            "code = main(['gen', 'srl', '--n-labels', '50', '--n-tuples', '120', "
-            "'--blocks', '2', '--out-dir', 'inst']); "
-            "print(before, code, 'numpy' in sys.modules)"
-        )
+    def test_gen_bench_and_the_oracle_run_where_numpy_cannot_be_imported(self, tmp_path):
+        code = """if True:
+            import sys
+            sys.modules["numpy"] = None
+            from pdblearn import Or, TupleId, Var, prob_bruteforce
+            from pdblearn.cli import main
+            codes = [
+                main(["gen", "srl", "--n-labels", "50", "--n-tuples", "120",
+                      "--blocks", "2", "--out-dir", "inst"]),
+                main(["gen", "3sat", "--n-vars", "20", "--n-clauses", "85",
+                      "--seed", "3", "--out-dir", "sat"]),
+                main(["bench", "--sizes", "20:30:1", "--out", "bench.csv"]),
+            ]
+            a, b = TupleId("t", (1,)), TupleId("t", (2,))
+            print(*codes, prob_bruteforce(Or(Var(a), Var(b)), {a: 0.5, b: 0.5}))
+        """
         out = run_python(["-c", code], tmp_path)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["False", "0", "True"]
+        assert out.stdout.split()[-4:] == ["0", "0", "0", "0.75"]
         inst = gen_synthetic_srl(50, n_tuples=120, blocks=2)
         rules = (tmp_path / "inst" / "rules.dl").read_text(encoding="utf-8")
         assert rules == inst.rules
@@ -883,6 +891,12 @@ class TestCli:
         assert [(l.formula, l.target) for l in loaded.labels] == [
             (l.formula, l.target) for l in inst.labels
         ]
+        clauses = (tmp_path / "sat" / "clauses.txt").read_text(encoding="utf-8")
+        want = random_3sat(20, 85, seed=3)
+        assert clauses == "".join(" ".join(map(str, c)) + "\n" for c in want)
+        with open(tmp_path / "bench.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and all(row["error"] == "" for row in rows)
 
     def test_gen_3sat_writes_a_loadable_instance(self, tmp_path):
         out = run_cli(
