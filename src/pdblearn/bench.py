@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 from itertools import product
 from typing import Sequence
 
-from .generators import gen_synthetic_srl
+from .generators import _check_srl_size, gen_synthetic_srl
 from .learning import OPTIMIZERS, LearnerConfig, LearningProblem, learn
 
 __all__ = ["BenchCell", "run_bench", "save_bench", "format_bench"]
@@ -41,8 +41,11 @@ def run_bench(
     """Run the learner over every combination and collect one row per cell.
 
     ``sizes`` holds (n_labels, n_tuples, blocks) triples.  Failures inside a
-    cell are captured in its ``error`` column instead of aborting the sweep.
+    cell are captured in its ``error`` column instead of aborting the sweep;
+    a size that cannot be generated raises ValueError before any cell runs.
     """
+    for size in sizes:
+        _check_srl_size(*size)
     cells = []
     for n_labels, n_tuples, blocks in sizes:
         instance = gen_synthetic_srl(n_labels, seed=seed, n_tuples=n_tuples, blocks=blocks)

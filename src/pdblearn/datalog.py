@@ -32,8 +32,10 @@ Grounding semantics over a probabilistic database:
 * each rule instantiation contributes the conjunction of its body lineages,
   and instantiations deriving the same head tuple merge by disjunction.
 
-Derived tuples whose lineage folds to the constant false (derivable in no
-world) are dropped.
+No derived lineage is a constant, so no derived tuple is dropped: a base
+row's lineage is a ``Var``, every rule has a positive literal, and by
+induction over the strata each body conjunction and each head's disjunction
+joins non-constant formulas and their negations, which fold to no constant.
 
 Joins are hash joins.  A positive literal's bound argument positions are its
 constants plus the variables of the positive literals before it, so they are
@@ -67,7 +69,6 @@ from .errors import (
 )
 from .lineage import (
     And,
-    FALSE,
     LineageFormula,
     Not,
     Or,
@@ -344,10 +345,10 @@ def parse_program(text: str) -> DeductionProgram:
     """Parse a rule file: one rule per line, ``%`` comments, blank lines ignored."""
     rules = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _BEFORE_COMMENT.match(raw).group(0).strip()
-        if not line:
-            continue
-        rules.append(parse_rule(line, line_no))
+        # parsed as it stands, so error columns count from the start of the line
+        line = _BEFORE_COMMENT.match(raw).group(0)
+        if line.strip():
+            rules.append(parse_rule(line, line_no))
     return DeductionProgram(tuple(rules))
 
 
@@ -389,15 +390,9 @@ def ground(program: DeductionProgram, db: ProbabilisticDatabase) -> tuple:
         for rule in rules:
             for theta, parts in _instantiate(rule, rows, matches):
                 head_args = tuple(_apply(theta, a) for a in rule.head.args)
-                conjunct = And(*parts)
-                if conjunct is FALSE:
-                    continue
-                collected.setdefault(head_args, []).append(conjunct)
+                collected.setdefault(head_args, []).append(And(*parts))
         for args in sorted(collected, key=args_sort_key):
-            formula = Or(*collected[args])
-            if formula is FALSE:
-                continue
-            rows[relation][args] = formula
+            rows[relation][args] = Or(*collected[args])
 
     return tuple(
         DerivedTuple(relation, args, formula)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from ._rng import Generator, SeedSequence
 from .database import ProbabilisticDatabase
 from .errors import InconsistentConstraintsError
-from .inference import prob_bruteforce
+from .inference import _world_masks
 from .learning import Label
 from .lineage import And, Not, Or, TupleId, Var
 
@@ -41,12 +41,7 @@ def gen_synthetic_srl(
     each label draws only from one range, so the instance decomposes into that
     many independent parts.
     """
-    if n_labels < 1:
-        raise ValueError("n_labels must be positive")
-    if n_tuples < 6 * max(blocks, 1) or blocks < 1:
-        raise ValueError("need at least 6 tuples per block")
-    if n_tuples % blocks != 0:
-        raise ValueError("blocks must divide n_tuples evenly")
+    _check_srl_size(n_labels, n_tuples, blocks)
     rng = Generator(SeedSequence(seed))
     db = ProbabilisticDatabase()
     ids = [TupleId("t", (i,)) for i in range(n_tuples)]
@@ -64,15 +59,13 @@ def gen_synthetic_srl(
         disjuncts = []
         rule_bodies = []
         for c in range(2):
-            a, b, d = picks[3 * c : 3 * c + 3]
-            neg_b, neg_d = flips[2 * c], flips[2 * c + 1]
-            parts = [Var(ids[a])]
-            parts.append(Not(Var(ids[b])) if neg_b else Var(ids[b]))
-            parts.append(Not(Var(ids[d])) if neg_d else Var(ids[d]))
+            # the conjunction's three literals: the first is positive
+            negations = (False, flips[2 * c], flips[2 * c + 1])
+            parts, body = [], []
+            for x, negated in zip(picks[3 * c : 3 * c + 3], negations):
+                parts.append(Not(Var(ids[x])) if negated else Var(ids[x]))
+                body.append(f"!t({x})" if negated else f"t({x})")
             disjuncts.append(And(*parts))
-            body = [f"t({a})"]
-            body.append(f"!t({b})" if neg_b else f"t({b})")
-            body.append(f"!t({d})" if neg_d else f"t({d})")
             rule_bodies.append(", ".join(body))
         target = 1.0 if rng.random() < 0.5 else 0.0
         labels.append(Label(Or(*disjuncts), target))
@@ -87,6 +80,16 @@ def gen_synthetic_srl(
     )
 
 
+def _check_srl_size(n_labels: int, n_tuples: int, blocks: int):
+    """Raise ValueError unless ``gen_synthetic_srl`` can build this size."""
+    if n_labels < 1:
+        raise ValueError("n_labels must be positive")
+    if n_tuples < 6 * max(blocks, 1) or blocks < 1:
+        raise ValueError("need at least 6 tuples per block")
+    if n_tuples % blocks != 0:
+        raise ValueError("blocks must divide n_tuples evenly")
+
+
 def random_3sat(
     n_vars: int,
     n_clauses: int,
@@ -96,8 +99,9 @@ def random_3sat(
     """Random 3-CNF guaranteed satisfiable, as signed 1-based literal triples.
 
     Draws clause sets uniformly (three distinct variables, fair signs) and
-    rejects unsatisfiable ones, those of probability 0 under
-    ``prob_bruteforce`` with every variable at one half; n_vars is therefore
+    rejects unsatisfiable ones.  As a draw's clauses are drawn, each one's
+    satisfying worlds, from ``prob_bruteforce``'s masks, are ANDed into one
+    set; once it is empty the rest are drawn but not tested.  n_vars is
     capped at 20, the oracle's cutoff.
     """
     if not 3 <= n_vars <= 20:
@@ -107,19 +111,19 @@ def random_3sat(
     if max_tries < 1:
         raise ValueError("max_tries must be >= 1")
     rng = Generator(SeedSequence(seed))
-    half = {TupleId.synthetic(i): 0.5 for i in range(1, n_vars + 1)}
-    events = {}  # literal -> its event: variable i is tuple #i
-    for i in range(1, n_vars + 1):
-        events[i] = Var(TupleId.synthetic(i))
-        events[-i] = Not(events[i])
+    full = (1 << (1 << n_vars)) - 1
+    worlds = {}  # literal -> the worlds where it holds
+    for i, mask in enumerate(_world_masks(n_vars), start=1):
+        worlds[i], worlds[-i] = mask, mask ^ full
     for _ in range(max_tries):
-        clauses, cnf = [], []
+        clauses, satisfied = [], full
         for _k in range(n_clauses):
             chosen = rng.choice(n_vars, 3)
             clause = tuple(v + 1 if rng.random() < 0.5 else -(v + 1) for v in chosen)
             clauses.append(clause)
-            cnf.append(Or(*(events[lit] for lit in clause)))
-        if prob_bruteforce(And(*cnf), half) > 0:
+            if satisfied:
+                satisfied &= worlds[clause[0]] | worlds[clause[1]] | worlds[clause[2]]
+        if satisfied:
             return tuple(clauses)
     raise InconsistentConstraintsError(
         f"no satisfiable formula found in {max_tries} draws"

@@ -93,9 +93,9 @@ def prob_bruteforce(
 
     Refuses formulas with more than ``cutoff`` tuples.  Serves as the oracle
     that ``prob_exact`` is verified against, and shares none of its rules.
-    World w of the 2**n worlds over the n sorted tuples holds tuple i when
-    bit i of w is set; ``lineage._worlds`` finds the satisfying worlds as the
-    bits of one int, and ``_world_weight`` sums their weights.
+    Tuple i of the n sorted tuples takes mask i of ``_world_masks(n)``;
+    ``lineage._worlds`` finds the satisfying worlds as the bits of one int,
+    and ``_world_weight`` sums their weights.
     """
     ordered = sorted(tuple_set(phi))
     n = len(ordered)
@@ -107,18 +107,23 @@ def prob_bruteforce(
         probs = [float(p[t]) for t in ordered]
     except KeyError as exc:
         raise MissingProbabilityError(exc.args[0]) from None
+    masks = dict(zip(ordered, _world_masks(n)))
+    fulls = [(1 << (1 << m)) - 1 for m in range(n + 1)]
+    return _world_weight(_worlds(phi, masks, fulls[n]), probs, fulls, n)
+
+
+def _world_masks(n: int) -> list:
+    """The 2**n worlds as one mask per variable i: bit w is set when w has bit i set."""
     size = 1 << n
-    masks = {}
-    for i, t in enumerate(ordered):
-        # one period: 2**i worlds without tuple i, then 2**i with it
-        half = 1 << i
+    masks = []
+    for i in range(n):
+        half = 1 << i  # a period: 2**i worlds without variable i, then 2**i with it
         mask, width = ((1 << half) - 1) << half, 2 * half
         while width < size:
             mask |= mask << width
             width *= 2
-        masks[t] = mask
-    fulls = [(1 << (1 << m)) - 1 for m in range(n + 1)]
-    return _world_weight(_worlds(phi, masks, fulls[n]), probs, fulls, n)
+        masks.append(mask)
+    return masks
 
 
 def _world_weight(bits: int, probs: list, fulls: list, n: int) -> float:
@@ -142,19 +147,13 @@ def _world_weight(bits: int, probs: list, fulls: list, n: int) -> float:
 
 def _top_literals(phi: LineageFormula) -> dict:
     """Map tuple -> sign for literals at the top conjunction level, else {}."""
-    if isinstance(phi, Var):
-        return {phi.tuple_id: 1}
-    if isinstance(phi, Not) and isinstance(phi.child, Var):
-        return {phi.child.tuple_id: -1}
-    if isinstance(phi, And):
-        out = {}
-        for c in phi.children:
-            if isinstance(c, Var):
-                out[c.tuple_id] = 1
-            elif isinstance(c, Not) and isinstance(c.child, Var):
-                out[c.child.tuple_id] = -1
-        return out
-    return {}
+    out = {}
+    for c in phi.children if isinstance(phi, And) else (phi,):
+        if isinstance(c, Var):
+            out[c.tuple_id] = 1
+        elif isinstance(c, Not) and isinstance(c.child, Var):
+            out[c.child.tuple_id] = -1
+    return out
 
 
 def _pairwise_event_disjoint(children: Sequence[LineageFormula]) -> bool:

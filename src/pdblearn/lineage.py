@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -78,12 +79,15 @@ def _arg_rank(value) -> tuple:
     return (1, value, 0)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class TupleId:
     """Identity of a base tuple: a relation name plus its argument constants.
 
     Synthetic instances use the reserved relation ``"#"`` with a single
-    integer key and print as ``#<int>``.
+    integer key and print as ``#<int>``.  Tuple ids order by ``sort_key``:
+    relation, arity, then the arguments in ``args_sort_key`` order, where
+    ints come before strs.
     """
 
     relation: str
@@ -93,11 +97,9 @@ class TupleId:
         if not isinstance(self.relation, str):
             raise TypeError(f"tuple relation must be str, got {self.relation!r}")
         object.__setattr__(self, "key", tuple(self.key))
-        # _arg_rank also validates each argument
+        # args_sort_key also validates each argument
         object.__setattr__(
-            self,
-            "sort_key",
-            (self.relation, len(self.key), tuple(_arg_rank(v) for v in self.key)),
+            self, "sort_key", (self.relation, len(self.key), args_sort_key(self.key))
         )
 
     @classmethod
@@ -110,15 +112,6 @@ class TupleId:
 
     def __lt__(self, other: "TupleId") -> bool:
         return self.sort_key < other.sort_key
-
-    def __le__(self, other: "TupleId") -> bool:
-        return self.sort_key <= other.sort_key
-
-    def __gt__(self, other: "TupleId") -> bool:
-        return self.sort_key > other.sort_key
-
-    def __ge__(self, other: "TupleId") -> bool:
-        return self.sort_key >= other.sort_key
 
     def __str__(self) -> str:
         if self.is_synthetic and len(self.key) == 1 and isinstance(self.key[0], int):
@@ -192,29 +185,29 @@ class LineageFormula:
 
 
 class Constant(LineageFormula):
-    """The constants ``true`` and ``false``; use the TRUE / FALSE singletons."""
+    """The constants ``true`` and ``false``, built once as ``TRUE`` and ``FALSE``.
+
+    ``Constant(value)`` and unpickling return one of the two.
+    """
 
     def __new__(cls, value: bool):
-        # the two singletons are created below at module load
-        existing = globals().get("TRUE" if value else "FALSE")
-        if existing is not None:
-            return existing
-        return object.__new__(cls)
-
-    def __init__(self, value: bool):
-        if hasattr(self, "value"):
-            return
-        self.value = bool(value)
-        self._tuples = frozenset()
-        self._skey = (4, self.value)
-        self._hash = hash(("lineage-const", self.value))
+        return TRUE if value else FALSE
 
     def __reduce__(self):
         return (Constant, (self.value,))
 
 
-TRUE = Constant(True)
-FALSE = Constant(False)
+def _constant(value: bool) -> Constant:
+    self = object.__new__(Constant)
+    self.value = value
+    self._tuples = frozenset()
+    self._skey = (4, value)
+    self._hash = hash(("lineage-const", value))
+    return self
+
+
+TRUE = _constant(True)
+FALSE = _constant(False)
 
 
 # TupleId -> its live Var; an entry goes when its node does
@@ -277,22 +270,22 @@ class _NAry(LineageFormula):
     children and sorts the rest by ``_skey``.  Keeps complementary literals
     as they are: x & !x stays a conjunction (so its tuple set is preserved),
     only constants are folded away.
+
+    One level of flattening suffices: every child was built by a constructor,
+    also under unpickling, and a node built here holds no child of its own
+    kind and no constant.
     """
 
     def __new__(cls, *children: LineageFormula):
         seen = {}  # the first of equal children, in order of appearance
         for child in children:
-            stack = [child]
-            while stack:
-                c = stack.pop()
-                if c is cls._absorbing:
-                    return c
-                if c is cls._identity:
-                    continue
-                if isinstance(c, cls):
-                    stack.extend(c.children)
-                    continue
-                seen.setdefault(c)
+            if child is cls._absorbing:
+                return child
+            if isinstance(child, cls):
+                for c in child.children:
+                    seen.setdefault(c)
+            elif child is not cls._identity:
+                seen.setdefault(child)
         if len(seen) < 2:
             return next(iter(seen), cls._identity)
         flat = tuple(sorted(seen, key=lambda c: c._skey))
@@ -546,7 +539,10 @@ def _parse_tuple_id(scanner: _Scanner) -> TupleId:
 def parse_formula(text: str, line_no: int = 1) -> LineageFormula:
     """Parse the syntax of the module docstring; ``text`` starts on line ``line_no``."""
     scanner = _Scanner(text, line_no)
-    phi = _parse_or(scanner)
+    try:
+        phi = _parse_or(scanner)
+    except RecursionError:
+        raise scanner.error("formula nested too deep") from None
     scanner.end("formula")
     return phi
 

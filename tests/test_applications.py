@@ -30,6 +30,7 @@ from pdblearn import (
     learn,
     mse,
     parse_program,
+    prob_bruteforce,
     prob_exact,
     random_3sat,
     recover_missing,
@@ -495,6 +496,43 @@ class TestRandom3Sat:
             for bits in itertools.product((False, True), repeat=4)
         )
         assert sat
+
+    @pytest.mark.parametrize(
+        "n_vars, n_clauses, seed, clauses",
+        [
+            (8, 15, 0, (
+                (5, -8, -6), (-1, -4, -5), (-5, 1, -4), (7, 5, 1), (8, -1, -5),
+                (-4, 3, 6), (7, -4, -6), (2, -4, 3), (-3, 5, -8), (-3, 7, 2),
+                (4, 7, 2), (-7, 5, -2), (2, -6, -7), (3, 4, -7), (-7, 3, -5),
+            )),
+            (8, 15, 1, (
+                (-4, 3, 7), (-2, 7, -1), (4, 7, 6), (3, -5, 4), (-3, -4, 1),
+                (-2, 7, -6), (3, -8, 6), (-6, -1, 3), (-3, 5, -6), (4, -1, 6),
+                (-3, 1, 2), (-6, -7, 1), (-3, 6, 2), (-3, 5, -8), (-7, 3, -8),
+            )),
+            # the third draw: the first two are unsatisfiable
+            (5, 20, 3, (
+                (-4, -2, 3), (5, -2, 3), (3, -4, -1), (-4, -5, 2), (2, -4, -3),
+                (-3, -4, -2), (3, 2, 4), (5, 2, 3), (2, -4, 3), (-3, 4, -5),
+                (-1, -3, 2), (4, 5, -2), (-1, -5, -4), (-3, 1, -2), (-2, 3, 4),
+                (-4, -3, 5), (4, 3, -1), (1, -5, 4), (-5, -3, -1), (-1, 2, -4),
+            )),
+        ],
+    )
+    def test_seeded_clauses_are_pinned(self, n_vars, n_clauses, seed, clauses):
+        assert random_3sat(n_vars, n_clauses, seed=seed) == clauses
+
+    @pytest.mark.parametrize("n_vars, n_clauses", [(8, 15), (20, 85)])
+    def test_the_oracle_finds_each_cnf_satisfiable(self, n_vars, n_clauses):
+        half = {TupleId.synthetic(i): 0.5 for i in range(1, n_vars + 1)}
+        events = {i: Var(TupleId.synthetic(i)) for i in range(1, n_vars + 1)}
+        for seed in range(10):
+            clauses = random_3sat(n_vars, n_clauses, seed=seed)
+            cnf = And(*(
+                Or(*(events[l] if l > 0 else Not(events[-l]) for l in clause))
+                for clause in clauses
+            ))
+            assert prob_bruteforce(cnf, half) > 0, seed
 
     def test_deterministic_per_seed(self):
         assert random_3sat(5, 8, seed=3) == random_3sat(5, 8, seed=3)

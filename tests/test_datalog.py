@@ -9,6 +9,7 @@ from pdblearn import (
     ArityError,
     Comparison,
     ComparisonTypeError,
+    Constant,
     CyclicProgramError,
     DeductionProgram,
     DeductionRule,
@@ -134,6 +135,12 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_program("q(X) :- r(X)")
         assert err.value.line == 1 and err.value.col == 13
+
+    @pytest.mark.parametrize("text, col", [("   q(X) :- r(X)", 16), ("  q(X) :- r(X), % c", 17)])
+    def test_error_columns_count_from_the_start_of_the_line(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_program(f"p(X) :- r(X).\n{text}")
+        assert (err.value.line, err.value.col) == (2, col)
 
     def test_format_parse_round_trip(self):
         text = (
@@ -425,6 +432,7 @@ def test_lineage_agrees_with_every_deterministic_world(case, data):
             base.add(placeholder)
 
     derived = ground(parse_program(text), db)
+    assert not any(isinstance(d.lineage, Constant) for d in derived)
     keys = [(d.relation, d.args) for d in derived]
     assert len(keys) == len(set(keys))  # merged: no duplicate heads
     assert ground(parse_program(text), db) == derived  # deterministic rerun

@@ -50,6 +50,7 @@ from pdblearn import (
     update_clean,
     write_trace,
 )
+from pdblearn import bench
 from pdblearn.cli import _learner_config, build_parser
 
 from conftest import STORY_RULES, build_formula, recipes, story_db, tid
@@ -525,6 +526,13 @@ class TestBenchHarness:
         ]
         assert all(c.status != "error" for c in a)
 
+    def test_a_bad_size_fails_before_any_cell_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "learn", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="need at least 6 tuples per block"):
+            run_bench(sizes=((20, 30, 1), (10, 7, 2)), optimizers=("gd",))
+        assert calls == []
+
     def test_cell_failures_do_not_abort_the_sweep(self):
         cells = run_bench(
             sizes=((6, 12, 1),),
@@ -642,6 +650,18 @@ class TestCli:
             assert out.returncode == 1
             assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
             assert "Is a directory" in out.stderr
+
+    def test_a_label_nested_too_deep_is_a_syntax_error(self, tmp_path):
+        (tmp_path / "tuples.tsv").write_text("t\t1\t?\n", encoding="utf-8")
+        deep = "(" * 2000 + "t(1)" + ")" * 2000
+        (tmp_path / "labels.tsv").write_text(
+            f"F\tt(1)\t1\nF\t{deep}\t1\n", encoding="utf-8"
+        )
+        out = run_cli(["learn", "--tuples", "tuples.tsv", "--labels", "labels.tsv"], tmp_path)
+        assert out.returncode == 1
+        # the column is wherever the parser ran out of stack
+        assert out.stderr.startswith("error: formula nested too deep at line 2, column ")
+        assert out.stderr.count("\n") == 1
 
     def test_ground_prints_derived_tuples(self, story_files):
         out = run_cli(

@@ -1,6 +1,8 @@
 """Formula ADT: construction, canonical forms, worlds, parsing."""
 
+import itertools
 import pickle
+import random
 import weakref
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 
 from pdblearn import (
     And,
+    Constant,
     FALSE,
     Not,
     Or,
@@ -38,6 +41,25 @@ def v(i):
     return Var(tid(i))
 
 
+def assert_canonical(phi):
+    """No And or Or in ``phi`` holds a child of its own kind or a constant.
+
+    Each such node has two or more children, and rebuilding it from a
+    shuffled copy of them gives an equal node.
+    """
+    if isinstance(phi, Not):
+        assert_canonical(phi.child)
+    if not isinstance(phi, (And, Or)):
+        return
+    children = phi.children
+    assert len(children) >= 2
+    for child in children:
+        assert not isinstance(child, (type(phi), Constant)), phi
+        assert_canonical(child)
+    shuffled = random.Random(len(children)).sample(children, len(children))
+    assert type(phi)(*shuffled) == phi
+
+
 class TestTupleId:
     def test_equality_and_hash(self):
         assert TupleId("r", (1, "x")) == TupleId("r", (1, "x"))
@@ -50,6 +72,15 @@ class TestTupleId:
         once = sorted(ids)
         assert sorted(list(reversed(ids))) == once
         assert once[0] < once[-1]
+
+    def test_comparisons_agree_with_the_sort_key(self):
+        keys = [(), (1,), (-3,), (2,), ("1",), ("a",), (1, "x"), ("x", 1), (1, 2)]
+        ids = [TupleId(rel, key) for rel in ("a", "b") for key in keys]
+        for a, b in itertools.product(ids, repeat=2):
+            assert (a < b) == (a.sort_key < b.sort_key)
+            assert (a <= b) == (a.sort_key <= b.sort_key)
+            assert (a > b) == (a.sort_key > b.sort_key)
+            assert (a >= b) == (a.sort_key >= b.sort_key)
 
     def test_str_forms(self):
         assert str(tid(7)) == "t(7)"
@@ -248,8 +279,9 @@ class TestSubstitute:
         before = tuple_set(phi)
         for i in sorted(recipe_vars(recipe) | {0}):
             for value in (True, False):
-                after = tuple_set(substitute(phi, tid(i), value))
-                assert after <= before - {tid(i)}
+                pinned = substitute(phi, tid(i), value)
+                assert tuple_set(pinned) <= before - {tid(i)}
+                assert_canonical(pinned)
 
 
 class TestIndependentPartition:
@@ -318,6 +350,17 @@ class TestParsing:
             parse_formula(text)
         assert (err.value.line, err.value.col) == (1, col)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 2000 + "t(1)" + ")" * 2000, "!" * 2000 + "t(1)"],
+        ids=["parentheses", "negations"],
+    )
+    def test_nesting_too_deep_is_a_syntax_error(self, text):
+        with pytest.raises(ParseError, match="formula nested too deep") as err:
+            parse_formula(text, line_no=4)
+        assert err.value.line == 4
+        assert 1 < err.value.col <= 2000
+
     def test_trailing_garbage_is_rejected(self):
         with pytest.raises(ParseError):
             parse_formula("t(1) t(2)")
@@ -336,6 +379,7 @@ class TestParsing:
 def test_canonicalization_preserves_truth_tables(recipe):
     """Constructor rewrites never change the boolean function."""
     phi = build_formula(recipe)
+    assert_canonical(phi)
     ids = sorted(recipe_vars(recipe))
     for world in worlds_over(ids):
         assert evaluate(phi, {tid(i) for i in world}) == eval_recipe(recipe, world)

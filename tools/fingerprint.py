@@ -32,13 +32,19 @@ against an older ``src`` through ``PYTHONPATH`` as it is.  It covers:
 * ``ground`` on ``demos/data``'s tuples and rules, on the rules of
   ``gen_synthetic_srl(2000, n_tuples=200, blocks=2)``, and on small programs
   with negation over a derived relation, a comparison, a variable repeated
-  inside a literal (``e(X, X)``), and the constants ``1`` and ``"1"``.
+  inside a literal (``e(X, X)``), and the constants ``1`` and ``"1"``;
+* ``random_3sat`` on a few seeded sizes, some of whose first draws are
+  unsatisfiable, and one size whose draws all are, so it raises
+  ``InconsistentConstraintsError``;
+* ``gen_synthetic_srl(12, seed=3, n_tuples=24, blocks=2)``.
 
 For each run it prints the status, the iteration count, ``best``, the trace
 objectives, the accepted objective parts (``record_accepted=True``; not
 exposed by ``solve_3sat``) and the learned probabilities in sorted tuple
 order, for each compiled formula its text and its values, and for each
-derived tuple its name and its lineage's text.  It takes about
+derived tuple its name and its lineage's text, for each ``random_3sat``
+call its clauses or its error's text, and for the generated SRL instance
+its rules text and label references.  It takes about
 half a minute (30 s) on a 2-CPU host.
 """
 
@@ -51,6 +57,7 @@ import numpy as np
 from pdblearn import (
     TRUE,
     And,
+    InconsistentConstraintsError,
     Label,
     LearnerConfig,
     LearningProblem,
@@ -238,6 +245,37 @@ def grounding():
         show_ground(f"small {k}", parse_program(text), db)
 
 
+# (n_vars, n_clauses, seed, max_tries): seeds 0 and 3 at (20, 85), seed 3
+# at (5, 20) and (3, 40) reject draws first; no draw at (3, 300) is satisfiable
+CNF_CASES = (
+    (3, 40, 0, 1000),
+    (8, 15, 0, 1000),
+    (8, 15, 7, 1000),
+    (5, 20, 3, 1000),
+    (12, 60, 1, 1000),
+    (20, 85, 0, 1000),
+    (20, 85, 3, 1000),
+    (5, 0, 0, 1000),
+    (3, 300, 0, 20),
+)
+
+
+def generated():
+    print("== random_3sat")
+    for n_vars, n_clauses, seed, tries in CNF_CASES:
+        try:
+            result = random_3sat(n_vars, n_clauses, seed=seed, max_tries=tries)
+        except InconsistentConstraintsError as exc:
+            result = f"InconsistentConstraintsError: {exc}"
+        print(n_vars, n_clauses, seed, tries, result)
+    srl = gen_synthetic_srl(12, seed=3, n_tuples=24, blocks=2)
+    print("== gen_synthetic_srl rules")
+    print(srl.rules, end="")
+    print("== gen_synthetic_srl label refs")
+    for name, target in srl.label_refs:
+        print(name, float(target).hex())
+
+
 def main():
     srl = gen_synthetic_srl(10000, n_tuples=1000, blocks=4)
     srl_runs("srl", LearningProblem(srl.db, srl.labels), (1, 2, 4))
@@ -315,6 +353,7 @@ def main():
 
     compiled_values(5)
     grounding()
+    generated()
 
 
 if __name__ == "__main__":
