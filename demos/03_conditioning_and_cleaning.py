@@ -3,8 +3,9 @@ Conditioning a database and cleaning against evidence
 =====================================================
 
 Two maintenance operations reuse the learner.  Conditioning rewrites the
-tuple probabilities so a set of constraint formulas holds almost surely;
-afterwards conjoining the constraints onto any query changes nothing.
+probabilities of the tuples that a set of constraint formulas mentions, so
+the constraints hold almost surely; afterwards conjoining them onto any
+query changes nothing, and the other tuples keep their probabilities.
 Cleaning revises probabilities against trusted evidence labels, balancing
 the old values as a prior, and reports tuples that collapse to impossible
 or certain.

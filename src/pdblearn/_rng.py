@@ -3,7 +3,8 @@
 ``SeedSequence`` follows ``numpy.random.SeedSequence`` (O'Neill's seed_seq
 hash over a pool of four 32-bit words, with spawn keys), and ``Generator``
 follows ``numpy.random.default_rng`` over it: ``PCG64``, a 128-bit LCG with
-the XSL-RR output, whose 32-bit draws take the two halves of one 64-bit
+the XSL-RR output.  One method, ``Generator._next64``, steps the state and
+returns that 64-bit output; the 32-bit draws take the two halves of one
 output, low half first.  ``random`` is ``Generator.random``, the top 53 bits
 of a 64-bit draw, and ``permutation`` is ``Generator.permutation`` of an int:
 a Fisher-Yates shuffle from the last index down, each swap partner drawn by
@@ -125,18 +126,20 @@ class Generator:
         stream = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
         self._inc = (stream << 1 | 1) & _MASK128
         self._state = ((self._inc + seed) * _PCG_MULT + self._inc) & _MASK128
-        # the unread upper half of the last 64-bit draw taken for 32 bits, if
-        # any; only its low 32 bits count
+        # the unread upper half of the last 64-bit draw taken for 32 bits, if any
         self._high32 = None
         # the last permutation's size and its indices from the top down, each
         # with its mask: the learner asks each generator for one size only
         self._spans = (0, ())
 
+    def _next64(self) -> int:
+        """Step the state once and return its 64-bit XSL-RR output; every draw does."""
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        return ((state >> 64 ^ state) & _MASK64) * _TWICE >> (state >> 122) & _MASK64
+
     def random(self) -> float:
         """A uniform double in [0, 1) from the top 53 bits of one 64-bit draw."""
-        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        word = ((state >> 64 ^ state) & _MASK64) * _TWICE >> (state >> 122)
-        return ((word & _MASK64) >> 11) * (1.0 / 9007199254740992.0)
+        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
 
     def permutation(self, n: int) -> list:
         """``range(n)`` shuffled as numpy's ``permutation(n)``, as a list.
@@ -148,13 +151,11 @@ class Generator:
         if self._spans[0] != n:
             masks = [(i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1)]
             self._spans = (n, masks)
-        state, inc, high = self._state, self._inc, self._high32
+        high = self._high32
         for i, mask in self._spans[1]:
             while True:  # draw 32 bits, keep those under the mask, until <= i
                 if high is None:
-                    state = (state * _PCG_MULT + inc) & _MASK128
-                    # bits above 64 stay in word: mask drops them
-                    word = ((state >> 64 ^ state) & _MASK64) * _TWICE >> (state >> 122)
+                    word = self._next64()
                     high = word >> 32
                     j = word & mask
                 else:
@@ -163,7 +164,7 @@ class Generator:
                 if j <= i:
                     break
             out[i], out[j] = out[j], out[i]
-        self._state, self._high32 = state, high
+        self._high32 = high
         return out
 
     def choice(self, n: int, k: int) -> list:
@@ -205,8 +206,7 @@ class Generator:
         high = self._high32
         if high is not None:
             self._high32 = None
-            return high & _MASK32
-        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        word = ((state >> 64 ^ state) & _MASK64) * _TWICE >> (state >> 122)
+            return high
+        word = self._next64()
         self._high32 = word >> 32
         return word & _MASK32

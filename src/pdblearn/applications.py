@@ -2,8 +2,8 @@
 
 Everything here reduces a database task to a labeled learning instance:
 
-* :func:`condition` enforces constraint formulas by relearning all tuple
-  probabilities until the constraints hold almost surely.
+* :func:`condition` enforces constraint formulas by relearning the
+  probabilities of the tuples they mention until they hold almost surely.
 * :func:`update_clean` folds fractional evidence labels into an existing
   database, using the current probabilities as a prior, and reports which
   tuples became deletions or certainties.
@@ -26,7 +26,7 @@ from ._rng import SeedSequence
 from .database import ProbabilisticDatabase
 from .datalog import DeductionProgram, DeductionRule, Literal, ground, index_derived
 from .errors import InconsistentConstraintsError, NoEvidenceError
-from .inference import prob_exact
+from .inference import compile_probability, prob_exact
 from .learning import (
     STATUS_ABS,
     Label,
@@ -79,7 +79,7 @@ def _best_restart(problem: LearningProblem, seed: int, restarts: int, **cfg_fiel
 @dataclass
 class ConditionResult:
     db: ProbabilisticDatabase
-    probabilities: dict
+    probabilities: dict  # the relearned tuples, those the constraints mention
     constraint_probability: float  # of the constraint conjunction, afterwards
     mse: float
     converged: bool
@@ -96,22 +96,26 @@ def condition(
     max_outer_iterations: int = 10000,
     threads: int = 1,
 ) -> ConditionResult:
-    """Relearn every tuple probability so all constraints hold together.
+    """Relearn the constrained tuples' probabilities so all constraints hold together.
 
-    The returned database satisfies ``P(constraint conjunction) >= 1 - eps_abs``
-    whenever the run converged.  Raises InconsistentConstraintsError when the
-    conjunction is unsatisfiable, since no probabilities can then help.
+    Every database tuple that a constraint mentions is relearned; the others
+    keep their probability.  The returned database satisfies
+    ``P(constraint conjunction) >= 1 - eps_abs`` whenever the run converged.
+    Raises InconsistentConstraintsError when the conjunction is
+    unsatisfiable, since no probabilities can then help.
     """
     if not eps_abs >= 0:
         raise ValueError("eps_abs must be >= 0")
     constraints = list(constraints)
     if not constraints:
-        return ConditionResult(db.copy(), {}, 1.0, 0.0, True, 0, _empty_result())
+        empty = LearnResult({}, 0.0, ((0, 0.0, 0.0),), STATUS_ABS, 0)
+        return ConditionResult(db.copy(), {}, 1.0, 0.0, True, 0, empty)
     conjunction = And(*constraints)
+    constrained = tuple_set(conjunction)
+    probability = compile_probability(conjunction)
     # satisfiable iff the conjunction has positive probability somewhere; at
     # p=1/2 every assignment carries equal weight, so zero means unsatisfiable
-    half = {t: 0.5 for t in tuple_set(conjunction)}
-    if prob_exact(conjunction, half) <= 0.0:
+    if probability(dict.fromkeys(constrained, 0.5)) <= 0.0:
         raise InconsistentConstraintsError(
             "the constraint conjunction is unsatisfiable"
         )
@@ -120,7 +124,7 @@ def condition(
     # over the n constraint complements keeps the conjunction above 1 - eps
     eps_mse = (eps_abs * eps_abs) / float(n**3)
     labels = tuple(Label(phi, 1.0) for phi in constraints)
-    problem = LearningProblem(db, labels, learnable=db.tuples)
+    problem = LearningProblem(db, labels, learnable=db.tuples & constrained)
     best_run, used = _best_restart(
         problem,
         seed,
@@ -130,7 +134,7 @@ def condition(
         threads=threads,
     )
     new_db = db.with_probabilities(best_run.probabilities)
-    held = prob_exact(conjunction, new_db.probabilities())
+    held = probability(new_db.probabilities())
     return ConditionResult(
         db=new_db,
         probabilities=dict(best_run.probabilities),
@@ -140,10 +144,6 @@ def condition(
         restarts_used=used,
         result=best_run,
     )
-
-
-def _empty_result() -> LearnResult:
-    return LearnResult({}, 0.0, ((0, 0.0, 0.0),), STATUS_ABS, 0)
 
 
 # --- updating and cleaning -------------------------------------------------------
@@ -273,7 +273,6 @@ def derive_from_incomplete(
             freqs[top] += residue
         for args in candidates:
             db.add(TupleId(choice_rel, (i,) + args), learnable=True)
-        for args in candidates:
             body = [Literal(choice_rel, (i,) + args)]
             for other in candidates:
                 if other != args:

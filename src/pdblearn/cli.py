@@ -201,11 +201,11 @@ def cmd_bench(args) -> int:
 
 def cmd_gen(args) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "srl":
         inst = gen_synthetic_srl(
             args.n_labels, seed=args.seed, n_tuples=args.n_tuples, blocks=args.blocks
         )
+        out.mkdir(parents=True, exist_ok=True)
         save_tuples(inst.db, out / "tuples.tsv")
         save_rules(inst.rules, out / "rules.dl")
         save_label_refs(inst.label_refs, out / "labels.tsv")
@@ -213,6 +213,7 @@ def cmd_gen(args) -> int:
     else:
         clauses = random_3sat(args.n_vars, args.n_clauses, seed=args.seed)
         db, labels = encode_3sat(clauses, args.n_vars)
+        out.mkdir(parents=True, exist_ok=True)
         save_tuples(db, out / "tuples.tsv")
         save_labels(labels, out / "labels.tsv")
         text = "".join(" ".join(str(l) for l in c) + "\n" for c in clauses)

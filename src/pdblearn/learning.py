@@ -117,20 +117,27 @@ OBJECTIVES = ("mse", "logical")
 OPTIMIZERS = ("sgd-per-tuple", "sgd-single", "gd")
 
 
+def _clamp(w: float) -> float:
+    """``w`` limited to [-LOGIT_CAP, LOGIT_CAP]; nan maps to -LOGIT_CAP."""
+    if w > LOGIT_CAP:
+        return LOGIT_CAP
+    if w >= -LOGIT_CAP:
+        return w
+    return -LOGIT_CAP
+
+
 def logit(p: float) -> float:
     """Map a probability to its log-odds, clamped to [-LOGIT_CAP, LOGIT_CAP]."""
     if p <= 0.0:
         return -LOGIT_CAP
     if p >= 1.0:
         return LOGIT_CAP
-    w = math.log(p / (1.0 - p))
-    return min(LOGIT_CAP, max(-LOGIT_CAP, w))
+    return _clamp(math.log(p / (1.0 - p)))
 
 
 def expit(w: float) -> float:
     """Inverse of :func:`logit`; always lands strictly inside (0, 1)."""
-    w = min(LOGIT_CAP, max(-LOGIT_CAP, w))
-    return 0.5 * (1.0 + math.tanh(0.5 * w))
+    return 0.5 * (1.0 + math.tanh(0.5 * _clamp(w)))
 
 
 @dataclass(frozen=True)
@@ -214,8 +221,6 @@ def _effective_weights(labels: Sequence[Label]) -> list:
 
 def mse(labels: Sequence[Label], p: Mapping[TupleId, float]) -> float:
     """Weighted mean squared error of the labels under probability map p."""
-    if not labels:
-        return 0.0
     weights = _effective_weights(labels)
     total = 0.0
     for i, lab in enumerate(labels):
@@ -231,8 +236,6 @@ def mse_gradient(
     labels: Sequence[Label], p: Mapping[TupleId, float], tuple_id: TupleId
 ) -> float:
     """Partial derivative of :func:`mse` with respect to p(tuple_id)."""
-    if not labels:
-        return 0.0
     weights = _effective_weights(labels)
     total = 0.0
     for i, lab in enumerate(labels):
@@ -283,7 +286,7 @@ def prior_augment(
     """
     if not 0.0 <= prior_weight <= 1.0:
         raise ValueError("prior_weight must lie in [0, 1]")
-    weights = _effective_weights(labels) if labels else []
+    weights = _effective_weights(labels)
     out = [
         replace(lab, weight=prior_weight * weights[i]) for i, lab in enumerate(labels)
     ]
@@ -302,23 +305,15 @@ def prior_augment(
 def _label_components(keysets: Sequence[frozenset]) -> list:
     """Group keysets that share a key: (keyset indices, keys) per group.
 
-    Empty keysets join no group.  Groups are ordered by their smallest key.
+    Groups are ordered by their smallest key.  Each empty keyset then forms a
+    group of its own, after the others, in index order.
     """
-    grouped = []
+    grouped, keyless = [], []
     for idxs in connected_components(keysets):
         keys = frozenset().union(*(keysets[i] for i in idxs))
-        if keys:
-            grouped.append((tuple(idxs), keys))
+        (grouped if keys else keyless).append((tuple(idxs), keys))
     grouped.sort(key=lambda group: min(group[1]).sort_key)
-    return grouped
-
-
-def _clamp(w: float) -> float:
-    if w > LOGIT_CAP:
-        return LOGIT_CAP
-    if w < -LOGIT_CAP:
-        return -LOGIT_CAP
-    return w
+    return grouped + keyless
 
 
 def _pin(probs: list, idx: int, lists: tuple) -> tuple:
@@ -666,9 +661,7 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
     start = time.perf_counter()
 
     labels = problem.labels
-    learnable = frozenset(
-        problem.learnable if problem.learnable is not None else problem.db.learnable
-    )
+    learnable = problem.db.learnable if problem.learnable is None else problem.learnable
     problem.db.check_tuples(learnable, "the learnable set")
     for i, lab in enumerate(labels):
         problem.db.check_tuples(tuple_set(lab.formula), f"label {i}")
@@ -685,7 +678,6 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
     # a label that no key reaches (logical: no tuple, mse: no learnable tuple)
     # is a group of its own, after the others
     grouped = _label_components(keysets)
-    grouped += [((i,), keys) for i, keys in enumerate(keysets) if not keys]
 
     elapsed_ms = lambda: (time.perf_counter() - start) * 1000.0
 
@@ -761,15 +753,15 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
 
         best = combine(started[index] for index in everyone)
         trace = [(0, best, elapsed_ms())]
+        # once nothing can change, a zero-improvement pass would trip eps_rel, if set
+        stalled = STATUS_REL if cfg.eps_rel > 0 else STATUS_MAX_ITERATIONS
         status = STATUS_MAX_ITERATIONS
         iterations = 0
 
-        if satisfied(best) or not components:
-            if satisfied(best):
-                status = STATUS_ABS
-            elif cfg.eps_rel > 0:
-                # nothing to optimize: a zero-improvement pass trips the rel criterion
-                status = STATUS_REL
+        if satisfied(best):
+            status = STATUS_ABS
+        elif not components:  # nothing to optimize
+            status = stalled
         else:
             prev = best
             for outer in range(1, cfg.max_outer_iterations + 1):
@@ -786,8 +778,8 @@ def learn(problem: LearningProblem, cfg: LearnerConfig | None = None) -> LearnRe
                     status = STATUS_REL
                     break
                 if all(done for _, done in stepped.values()):
-                    # every rate hit the floor with nothing accepted: stalled
-                    status = STATUS_REL if cfg.eps_rel > 0 else STATUS_MAX_ITERATIONS
+                    # every rate hit the floor with nothing accepted
+                    status = stalled
                     break
                 prev = best
         final = workers.call("result")

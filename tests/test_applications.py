@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pdblearn import (
     TRUE,
     And,
+    DanglingReferenceError,
     InconsistentConstraintsError,
     Label,
     LearnerConfig,
@@ -41,7 +42,7 @@ from pdblearn import (
     tuple_set,
     update_clean,
 )
-from pdblearn import applications, cli
+from pdblearn import applications, cli, inference
 
 from conftest import build_formula, random_recipe, story_db, tid
 
@@ -83,6 +84,43 @@ class TestCondition:
         assert res.converged
         assert res.restarts_used == 0
         assert res.db.probabilities() == {tid(1): 0.3}
+
+    def test_tuples_no_constraint_mentions_keep_their_probability(self):
+        db = ProbabilisticDatabase()
+        for i, p in ((1, 0.3), (2, 0.5), (3, 0.9)):
+            db.add(tid(i), p)
+        res = condition(db, [Or(v(2), v(3))], seed=0)
+        assert res.converged
+        assert res.db.probability(tid(1)) == 0.3
+        assert set(res.probabilities) == {tid(2), tid(3)}
+        for constraints in ([TRUE], []):
+            res = condition(db, constraints, seed=0)
+            assert res.db.probabilities() == db.probabilities()
+            assert res.probabilities == {}
+
+    def test_a_constraint_over_an_unknown_tuple_is_refused(self):
+        db = ProbabilisticDatabase()
+        db.add(tid(1), 0.5)
+        with pytest.raises(DanglingReferenceError, match="label 0 references tuple"):
+            condition(db, [Or(v(1), v(4))])
+
+    def test_the_constraint_conjunction_is_decomposed_once(self, monkeypatch):
+        db = ProbabilisticDatabase()
+        for i in range(1, 4):
+            db.add(tid(i), 0.5)
+        constraints = [Or(v(1), v(2)), Or(Not(v(2)), v(3))]
+        conjunction = And(*constraints)
+        seen = []
+        decompose = inference._decompose
+
+        def counting(phi):
+            seen.append(phi)
+            return decompose(phi)
+
+        monkeypatch.setattr(inference, "_decompose", counting)
+        res = condition(db, constraints, seed=0)
+        assert res.converged
+        assert seen.count(conjunction) == 1
 
     def test_restarts_below_one_are_rejected(self, tmp_path, capsys):
         db = ProbabilisticDatabase()

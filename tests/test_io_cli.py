@@ -51,7 +51,7 @@ from pdblearn import (
     write_trace,
 )
 from pdblearn import bench
-from pdblearn.cli import _learner_config, build_parser
+from pdblearn.cli import _learner_config, build_parser, main
 
 from conftest import STORY_RULES, build_formula, recipes, story_db, tid
 
@@ -917,6 +917,16 @@ class TestCli:
         with open(tmp_path / "bench.csv", newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
         assert rows and all(row["error"] == "" for row in rows)
+
+    def test_a_failed_gen_leaves_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        for argv, message in (
+            (["srl", "--n-labels", "0"], "n_labels must be positive"),
+            (["3sat", "--n-vars", "2"], "n_vars must lie in [3, 20]"),
+        ):
+            assert main(["gen", *argv, "--out-dir", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_gen_3sat_writes_a_loadable_instance(self, tmp_path):
         out = run_cli(

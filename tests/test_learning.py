@@ -199,6 +199,16 @@ class TestLogitExpit:
         assert logit(0.0) == pytest.approx(-cap, abs=1e-12)
         assert expit(1e6) == expit(cap)
         assert 0.0 < expit(-1e6) < expit(1e6) < 1.0
+        cap = learning.LOGIT_CAP
+        top = float.fromhex("0x1.fffffff768fa1p-1")
+        bottom = float.fromhex("0x1.12e0bep-30")
+        assert expit(cap) == top and expit(-cap) == bottom
+        for x in (math.inf, 1e300):
+            assert (logit(x), logit(-x)) == (cap, -cap)
+            assert (expit(x), expit(-x)) == (top, bottom)
+        # nan compares false both ways and lands on the lower cap
+        assert logit(math.nan) == -cap
+        assert expit(math.nan) == bottom
 
     def test_roundtrip(self):
         assert expit(logit(0.3)) == pytest.approx(0.3, abs=1e-12)
@@ -267,6 +277,8 @@ class TestComponents:
             ((tuple(sorted(idxs)), frozenset(keys)) for idxs, keys in groups),
             key=lambda group: min(group[1]),
         )
+        # then each empty keyset alone, in index order
+        expected += [((i,), ks) for i, ks in enumerate(keysets) if not ks]
         assert _label_components(keysets) == expected
 
 
@@ -369,6 +381,29 @@ class TestLearn:
         )
         assert tight.best == pytest.approx(0.25, abs=1e-9)
         assert tight.probabilities[tid(7)] == pytest.approx(0.5, abs=1e-6)
+
+    def test_labels_no_learnable_tuple_touches_stop_at_once(self):
+        db = ProbabilisticDatabase()
+        db.add(tid(1), 0.5)
+        db.add(tid(2))
+        problem = LearningProblem(db, (Label(v(1), 1.0),))
+        out = learn(problem, LearnerConfig(seed=0))
+        assert (out.status, out.iterations, len(out.trace)) == ("eps_rel", 0, 1)
+        assert out.converged and out.best == 0.25
+        out = learn(problem, LearnerConfig(eps_rel=0.0, seed=0))
+        assert (out.status, out.iterations, len(out.trace)) == ("max_iterations", 0, 1)
+        assert not out.converged
+
+    def test_a_stalled_run_stops_below_the_budget(self):
+        db = two_tuple_db()
+        problem = LearningProblem(db, (Label(v(7), 1.0), Label(v(7), 0.0)))
+        out = learn(problem, LearnerConfig(eps_abs=1e-12, seed=0))
+        assert (out.status, out.iterations) == ("eps_rel", 6)
+        # with no rel criterion, every rate reaches the floor with nothing
+        # accepted long before the budget of 10000 passes
+        out = learn(problem, LearnerConfig(eps_abs=1e-12, eps_rel=0.0, seed=0))
+        assert (out.status, out.iterations, len(out.trace)) == ("max_iterations", 56, 57)
+        assert not out.converged
 
     def test_iteration_budget_is_respected(self):
         db = two_tuple_db()

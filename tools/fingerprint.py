@@ -16,7 +16,8 @@ against an older ``src`` through ``PYTHONPATH`` as it is.  It covers:
   ``parse_formula(format_formula(...))``, so every literal arrives with a
   ``TupleId`` object of its own;
 * mse and logical ``learn`` with each optimizer on three encoded
-  8-variable, 15-clause 3SAT instances, run to ``eps_abs`` or 150 passes;
+  8-variable, 15-clause 3SAT instances, run to ``eps_abs`` or 150 passes,
+  and ``condition`` on each instance's label formulas;
 * ``solve_3sat`` on 15 seeded 8-variable, 15-clause CNFs;
 * mse and logical ``learn`` with each optimizer at threads 1 and 2, and one
   ``update_clean`` with a prior, on two seeded instances in which every third
@@ -36,16 +37,20 @@ against an older ``src`` through ``PYTHONPATH`` as it is.  It covers:
 * ``random_3sat`` on a few seeded sizes, some of whose first draws are
   unsatisfiable, and one size whose draws all are, so it raises
   ``InconsistentConstraintsError``;
-* ``gen_synthetic_srl(12, seed=3, n_tuples=24, blocks=2)``.
+* ``gen_synthetic_srl(12, seed=3, n_tuples=24, blocks=2)``;
+* ``derive_from_incomplete`` on a small table of three-field rows, and
+  ``recover_missing`` on a small database with fixed and missing tuples.
 
 For each run it prints the status, the iteration count, ``best``, the trace
 objectives, the accepted objective parts (``record_accepted=True``; not
 exposed by ``solve_3sat``) and the learned probabilities in sorted tuple
 order, for each compiled formula its text and its values, and for each
 derived tuple its name and its lineage's text, for each ``random_3sat``
-call its clauses or its error's text, and for the generated SRL instance
-its rules text and label references.  It takes about
-half a minute (30 s) on a 2-CPU host.
+call its clauses or its error's text, for the generated SRL instance
+its rules text and label references, for each ``condition`` call the
+constraint probability, the restarts used, the mse and the learned
+probabilities, and for ``derive_from_incomplete`` each row's completions.
+It takes about half a minute (30 s) on a 2-CPU host.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ from pdblearn import (
     TupleId,
     Var,
     compile_probability,
+    condition,
+    derive_from_incomplete,
     encode_3sat,
     format_formula,
     gen_synthetic_srl,
@@ -78,6 +85,7 @@ from pdblearn import (
     parse_program,
     prob_exact,
     random_3sat,
+    recover_missing,
     solve_3sat,
     update_clean,
 )
@@ -276,6 +284,45 @@ def generated():
         print(name, float(target).hex())
 
 
+def show_condition(name, res):
+    print(f"== {name}")
+    print(f"constraint_probability {float(res.constraint_probability).hex()}")
+    print(f"restarts_used {res.restarts_used} mse {float(res.mse).hex()}")
+    for t in sorted(res.probabilities):
+        print(t, float(res.probabilities[t]).hex())
+
+
+# rows of (group, kind, size); None marks an unknown field
+COMPLETE_ROWS = (
+    (1, "a", "x"), (1, "a", "y"), (1, "b", "x"), (1, "a", "x"),
+    (2, "b", "y"), (2, "b", "y"), (2, "c", "x"), (3, "a", "z"),
+)
+INCOMPLETE_ROWS = ((1, None, None), (2, "b", None), (None, "a", None), (3, None, "z"))
+
+
+def applications():
+    reduction = derive_from_incomplete(COMPLETE_ROWS, INCOMPLETE_ROWS)
+    print("== derive_from_incomplete completions")
+    for row, completions in zip(INCOMPLETE_ROWS, reduction.completions):
+        print(row, *(f"{args}={float(p).hex()}" for args, p in sorted(completions.items())))
+    show("derive_from_incomplete", reduction.result)
+
+    db = ProbabilisticDatabase()
+    e = {key: TupleId("e", key) for key in ((1, 2), (2, 3), (1, 3), (3, 4), (2, 4))}
+    for key, p in (((1, 2), 0.9), ((3, 4), 0.4)):
+        db.add(e[key], p)
+    for key in ((2, 3), (1, 3), (2, 4)):
+        db.add(e[key])
+    x = {key: Var(t) for key, t in e.items()}
+    observations = (
+        Or(And(x[1, 2], x[2, 3]), x[1, 3]),
+        Or(And(x[1, 3], x[3, 4]), And(x[1, 2], x[2, 4])),
+        And(x[1, 2], Not(x[2, 4])),
+    )
+    cfg = LearnerConfig(eps_rel=0.0, max_outer_iterations=60)
+    show("recover_missing", recover_missing(db, observations, cfg).result)
+
+
 def main():
     srl = gen_synthetic_srl(10000, n_tuples=1000, blocks=4)
     srl_runs("srl", LearningProblem(srl.db, srl.labels), (1, 2, 4))
@@ -301,6 +348,8 @@ def main():
                     record_accepted=True,
                 )
                 show(f"3sat seed={seed} {objective} {optimizer}", learn(problem, cfg))
+        constraints = [lab.formula for lab in labels]
+        show_condition(f"condition 3sat seed={seed}", condition(db, constraints, seed=seed))
 
     for seed in range(15):
         sat = solve_3sat(random_3sat(8, 15, seed=100 + seed), 8, seed=seed)
@@ -354,6 +403,7 @@ def main():
     compiled_values(5)
     grounding()
     generated()
+    applications()
 
 
 if __name__ == "__main__":
