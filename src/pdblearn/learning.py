@@ -215,8 +215,9 @@ class LearnResult:
 
 
 def _effective_weights(labels: Sequence[Label]) -> list:
-    n = len(labels)
-    return [lab.weight if lab.weight is not None else 1.0 / n for lab in labels]
+    """Each label's weight, 1/n where it has none; the labels share that one float."""
+    share = 1.0 / len(labels) if labels else 0.0
+    return [share if lab.weight is None else lab.weight for lab in labels]
 
 
 def mse(labels: Sequence[Label], p: Mapping[TupleId, float]) -> float:
@@ -391,9 +392,10 @@ class _Component:
         incidence: list = [[] for _ in range(n)]
         try:
             for ops, slots in _compile_shared(self.formulas, slot):
+                i = len(compiled)  # one int object for all of the formula's tuples
                 for k in slots:
                     if k < n:
-                        incidence[k].append(len(compiled))
+                        incidence[k].append(i)
                 compiled.append(ops)
         except IntractableFormulaError as exc:
             if self.cfg.objective == "logical":

@@ -6,7 +6,7 @@ constructors canonicalize eagerly:
 
 * constant folding (``!true -> false``, an ``&`` containing ``false`` -> ``false``, ...),
 * double-negation elimination,
-* one ``Var`` per tuple, held weakly,
+* one ``Var`` per tuple, and one ``Not(Var)`` per tuple, each held weakly,
 * flattening of nested conjunctions/disjunctions,
 * structural deduplication of equal children,
 * children sorted by a deterministic structural key.
@@ -15,7 +15,9 @@ Canonicalization is purely syntactic: ``x & !x`` stays a conjunction (its
 tuple set must remain visible), no tautology or contradiction detection.
 
 Two formulas are therefore structurally equal exactly when canonicalization
-maps them to the same tree, and ``==`` / ``hash`` work on that form.
+maps them to the same tree, and ``==`` / ``hash`` work on that form.  Nodes
+have ``__slots__`` and no ``__dict__``, since a run holds one node per
+literal and connective of every label.
 
 Text syntax (round-trips through :func:`parse_formula` / :func:`format_formula`)::
 
@@ -153,8 +155,12 @@ class LineageFormula:
     """Base class of all formula nodes.  Use the subclasses as constructors.
 
     Every node caches ``_hash`` and ``_skey``.  The key encodes the node's
-    kind and its whole subtree, so equal keys mean equal formulas.
+    kind and its whole subtree, so equal keys mean equal formulas: a ``Var``
+    is ``(0, sort_key)``, a ``Not`` ``(1, child key)``, an ``And`` or ``Or``
+    one flat tuple ``(2 or 3, *child keys)`` and a constant ``(4, value)``.
     """
+
+    __slots__ = ("_tuples", "_skey", "_hash")
 
     def __hash__(self):
         return self._hash
@@ -190,6 +196,8 @@ class Constant(LineageFormula):
     ``Constant(value)`` and unpickling return one of the two.
     """
 
+    __slots__ = ("value",)
+
     def __new__(cls, value: bool):
         return TRUE if value else FALSE
 
@@ -210,8 +218,10 @@ TRUE = _constant(True)
 FALSE = _constant(False)
 
 
-# TupleId -> its live Var; an entry goes when its node does
+# TupleId -> its live Var, and Var -> its live negation; an entry goes when
+# its node does
 _VARS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NOTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class Var(LineageFormula):
@@ -222,8 +232,11 @@ class Var(LineageFormula):
     the registry keeps no node alive.  The node keeps the first ``TupleId``
     object it was built from, so ``Var(t).tuple_id == t`` holds but
     ``Var(t).tuple_id is t`` may not.  Unpickling and copying go through
-    this constructor too, so they return the process's live node.
+    this constructor too, so they return the process's live node.  ``Not``
+    interns a ``Var``'s negation the same way.
     """
+
+    __slots__ = ("tuple_id", "__weakref__")
 
     def __new__(cls, tuple_id: TupleId):
         if not isinstance(tuple_id, TupleId):
@@ -243,7 +256,14 @@ class Var(LineageFormula):
 
 
 class Not(LineageFormula):
-    """Negation; folds constants and double negation."""
+    """Negation; folds constants and double negation.
+
+    The negation of a ``Var`` is built once per tuple and held weakly, as
+    ``Var`` is: while it is alive, ``Not`` of that ``Var`` returns it.  The
+    registry maps the ``Var`` to its negation, so it keeps no node alive.
+    """
+
+    __slots__ = ("child", "__weakref__")
 
     def __new__(cls, child: LineageFormula):
         if child is TRUE:
@@ -252,15 +272,24 @@ class Not(LineageFormula):
             return TRUE
         if isinstance(child, Not):
             return child.child
-        self = object.__new__(cls)
-        self.child = child
-        self._tuples = child._tuples
-        self._skey = (1, child._skey)
-        self._hash = hash(("lineage-not", child._hash))
+        if child.__class__ is not Var:
+            return _negation(child)
+        self = _NOTS.get(child)
+        if self is None:
+            self = _NOTS[child] = _negation(child)
         return self
 
     def __reduce__(self):
         return (Not, (self.child,))
+
+
+def _negation(child: LineageFormula) -> Not:
+    self = object.__new__(Not)
+    self.child = child
+    self._tuples = child._tuples
+    self._skey = (1, child._skey)
+    self._hash = hash(("lineage-not", child._hash))
+    return self
 
 
 class _NAry(LineageFormula):
@@ -273,8 +302,11 @@ class _NAry(LineageFormula):
 
     One level of flattening suffices: every child was built by a constructor,
     also under unpickling, and a node built here holds no child of its own
-    kind and no constant.
+    kind and no constant.  The key is flat, ``(kind, *child keys)``, and
+    orders as ``(kind, (child keys))`` would.
     """
+
+    __slots__ = ("children",)
 
     def __new__(cls, *children: LineageFormula):
         seen = {}  # the first of equal children, in order of appearance
@@ -292,8 +324,8 @@ class _NAry(LineageFormula):
         self = object.__new__(cls)
         self.children = flat
         self._tuples = frozenset().union(*(c._tuples for c in flat))
-        self._skey = (cls._kind, tuple(c._skey for c in flat))
-        self._hash = hash((cls._tag,) + tuple(c._hash for c in flat))
+        self._skey = (cls._kind, *[c._skey for c in flat])
+        self._hash = hash((cls._tag, *[c._hash for c in flat]))
         return self
 
     def __reduce__(self):
@@ -303,12 +335,14 @@ class _NAry(LineageFormula):
 class And(_NAry):
     """Conjunction; canonical n-ary node with sorted, deduplicated children."""
 
+    __slots__ = ()
     _kind, _tag, _absorbing, _identity = 2, "lineage-and", FALSE, TRUE
 
 
 class Or(_NAry):
     """Disjunction; canonical n-ary node with sorted, deduplicated children."""
 
+    __slots__ = ()
     _kind, _tag, _absorbing, _identity = 3, "lineage-or", TRUE, FALSE
 
 

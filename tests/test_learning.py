@@ -72,6 +72,13 @@ class TestMse:
         raw = [Label(l.formula, l.target, weight=1.0) for l in PAIR_LABELS]
         assert mse(raw, p) == pytest.approx(0.5125, abs=1e-12)
 
+    def test_default_weights_share_one_float(self):
+        labels = (Label(v(1), 1.0), Label(v(2), 0.0, weight=2.0), Label(v(3), 0.5))
+        first, given_weight, last = learning._effective_weights(labels)
+        assert first == 1.0 / 3 and given_weight == 2.0
+        assert first is last
+        assert learning._effective_weights(()) == []
+
     def test_satisfied_labels_give_zero(self):
         p = {tid(1): 0.0, tid(2): 1.0}
         assert mse(PAIR_LABELS, p) == 0.0

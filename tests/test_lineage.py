@@ -1,12 +1,15 @@
 """Formula ADT: construction, canonical forms, worlds, parsing."""
 
+import gc
 import itertools
 import pickle
 import random
+import tracemalloc
 import weakref
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdblearn import (
     And,
@@ -135,10 +138,27 @@ class TestVarInterning:
 
     def test_unpickling_returns_the_live_nodes(self):
         live = [v(1), v(2), v(3)]
-        phi = Or(And(v(1), Not(v(2))), v(3))
+        negation = Not(v(2))
+        phi = Or(And(v(1), negation), v(3))
         back = pickle.loads(pickle.dumps(phi))
         assert back == phi
         assert {id(leaf) for leaf in leaves([back])} == {id(leaf) for leaf in live}
+        assert back.children[1].children[1] is negation
+
+    def test_a_tuple_has_one_negation(self):
+        first = Not(Var(TupleId("intern_not", (1,))))
+        assert Not(Var(TupleId("intern_not", (1,)))) is first
+        assert Not(Var(TupleId("intern_not", (2,)))) is not first
+
+    def test_the_registry_holds_no_negation_alive(self):
+        negation = Not(Var(TupleId("intern_weak_not", (1,))))
+        refs = [weakref.ref(negation), weakref.ref(negation.child)]
+        del negation
+        assert [ref() for ref in refs] == [None, None]
+        ref = weakref.ref(Not(Var(TupleId("intern_weak_not", (1,)))))
+        assert ref() is None
+        fresh = Not(Var(TupleId("intern_weak_not", (1,))))
+        assert Not(Var(TupleId("intern_weak_not", (1,)))) is fresh
 
     @pytest.mark.parametrize("bad", ["x", ["x"], None])
     def test_non_tuple_ids_are_refused(self, bad):
@@ -151,6 +171,44 @@ class TestVarInterning:
         found = leaves(lab.formula for lab in srl.labels)
         assert len(found) == 200
         assert len({leaf.tuple_id for leaf in found}) == 200
+
+
+class TestNodeSize:
+    def test_no_node_has_a_dict(self):
+        nodes = [TRUE, FALSE, v(1), Not(v(1)), Not(And(v(1), v(2)))]
+        nodes += [And(v(1), Not(v(2))), Or(v(1), And(v(2), v(3)))]
+        for node in nodes:
+            assert not hasattr(node, "__dict__"), type(node)
+
+    def test_srl_labels_fit_the_memory_bound(self):
+        """10,000 two-conjunction labels over 1,000 tuples, a third of the literals negated.
+
+        On CPython 3.11 slotted nodes take about 1,710 B per label here, and
+        nodes with a ``__dict__``, nested keys and one negation per literal
+        about 2,330 B.
+        """
+        rng = random.Random(0)
+        ids = [TupleId("t", (i,)) for i in range(1000)]
+        draws = []
+        for j in range(10_000):
+            lo = (j % 4) * 250
+            picks = rng.sample(range(lo, lo + 250), 6)
+            # each conjunction's first literal is positive, the other two
+            # negated with probability one half
+            draws.append([(ids[x], k % 3 > 0 and rng.random() < 0.5) for k, x in enumerate(picks)])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            formulas = [
+                Or(*(And(*(Not(Var(t)) if neg else Var(t) for t, neg in lits[c : c + 3]))
+                     for c in (0, 3)))
+                for lits in draws
+            ]
+            per_label = (tracemalloc.get_traced_memory()[0] - base) / len(formulas)
+        finally:
+            tracemalloc.stop()
+        assert per_label <= 1900, f"{per_label:.0f} B per label"
 
 
 class TestCanonicalForms:
@@ -394,3 +452,39 @@ def test_structural_equality_is_order_insensitive(left, right):
     assert And(a, b) == And(b, a)
     assert Or(a, b) == Or(b, a)
     assert hash(And(a, b)) == hash(And(b, a))
+
+
+def nested_key(phi):
+    """The structural key with each connective's child keys in a tuple of their own."""
+    if isinstance(phi, Var):
+        return (0, phi.tuple_id.sort_key)
+    if isinstance(phi, Not):
+        return (1, nested_key(phi.child))
+    if isinstance(phi, Constant):
+        return (4, phi.value)
+    return (phi._kind, tuple(nested_key(c) for c in phi.children))
+
+
+def subformulas(phi):
+    yield phi
+    if isinstance(phi, Not):
+        yield from subformulas(phi.child)
+    elif isinstance(phi, (And, Or)):
+        for child in phi.children:
+            yield from subformulas(child)
+
+
+@pytest.mark.property
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.lists(recipes(max_vars=4, max_leaves=8), min_size=2, max_size=5))
+def test_the_flat_key_orders_as_the_nested_key(batch):
+    """The flat ``(kind, *child keys)`` key sorts and compares as a nested one."""
+    nodes = [f for recipe in batch for f in subformulas(build_formula(recipe))]
+    for phi in nodes:
+        if isinstance(phi, (And, Or)):
+            assert list(phi.children) == sorted(phi.children, key=nested_key)
+    by_flat = sorted(nodes, key=lambda f: f._skey)
+    assert [nested_key(f) for f in by_flat] == sorted(nested_key(f) for f in nodes)
+    for a, b in itertools.product(nodes, repeat=2):
+        assert (a._skey < b._skey) == (nested_key(a) < nested_key(b))
+        assert (a._skey == b._skey) == (nested_key(a) == nested_key(b)) == (a == b)

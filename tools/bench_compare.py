@@ -12,7 +12,9 @@ side, at seed 100, for the per-layer metrics and the figures of its record,
 such as layer self times that are not gated metrics.
 
 The output holds the host (CPU count from ``os.sched_getaffinity``, Python
-version, CPU model), each side's git revision and benchmark digest, every
+version, CPU model, and whether ``PYTHONDONTWRITEBYTECODE`` kept the runs
+from writing bytecode: then, in a checkout without bytecode caches, each
+``pdblearn`` subprocess compiles the package's source), each side's git revision and benchmark digest, every
 run's result line and, per workload and end-to-end metric, each side's
 median and quartiles, the relative change of the medians and the number of
 pairs the after side won.
@@ -147,6 +149,8 @@ def main(argv=None) -> int:
             "cpu_model": cpu_model(),
             "python": platform.python_version(),
             "platform": platform.platform(),
+            # the runs inherit this environment; any non-empty value turns writing off
+            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         },
         "before_revision": revision(before),
         "after_revision": revision(after),
